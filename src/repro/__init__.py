@@ -11,7 +11,7 @@ Public API highlights:
   execute pipeline with a validated :class:`repro.ExecutionConfig`;
 * :mod:`repro.exec` — execution backends: ``"native"`` (host-speed
   numpy), ``"counts"`` (functional + event counters), ``"sim"``
-  (cycle-accurate), ``"sim-fused"`` (superblock-compiled simulator),
+  (cycle-accurate), ``"sim-ref"`` (its per-access conformance oracle),
   selected via ``ExecutionConfig.backend`` / ``repro.run(backend=...)``
   and extensible via :func:`repro.register_backend`;
 * :class:`repro.JitSpMM` — the JIT SpMM engine (fast numpy backend and

@@ -171,7 +171,7 @@ def _evaluate(personality: CompilerPersonality, config: PassConfig,
 
     compiled = AotCompiler(personality).compile_spmm(passes=config)
     artifact = get_system(f"aot:{personality.name}").prepare(
-        split="row", threads=1, dynamic=False, backend="sim-fused",
+        split="row", threads=1, dynamic=False, backend="sim",
         l1=l1, l2=l2, kernel=compiled)
     plan = artifact.bind(sampled, x)
     counters = replay_cost(plan.operands.memory, plan._thread_specs(),

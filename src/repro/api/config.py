@@ -55,7 +55,7 @@ class ExecutionConfig:
             spelling of the backend axis: with ``backend=None`` it
             selects ``"sim"`` (True) or ``"counts"`` (False).
         backend: Execution backend by registry name — ``"native"``,
-            ``"counts"``, ``"sim"``, ``"sim-fused"``, or anything
+            ``"counts"``, ``"sim"``, ``"sim-ref"``, or anything
             registered via :func:`repro.exec.register_backend`.
             Validated (and alias-normalized) at construction; ``None``
             defers to ``timing``.  When set, it overrides ``timing``.

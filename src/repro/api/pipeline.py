@@ -15,9 +15,8 @@ The paper itself distinguishes the phases this module reifies:
   the :mod:`repro.exec` registry (``config.backend``, or per-call
   ``backend=`` / legacy ``timing=`` overrides) and returns that
   backend's :class:`repro.core.runner.RunResult` — host-speed numpy
-  (``"native"``), functional counting (``"counts"``), cycle-accurate
-  simulation (``"sim"``), or the superblock-compiled simulator
-  (``"sim-fused"``).
+  (``"native"``), functional counting (``"counts"``), or cycle-accurate
+  simulation (``"sim"``, with ``"sim-ref"`` as its per-access oracle).
 
 Systems differ in *when* their kernel exists.  Address-free templates
 (AOT personalities, the MKL-like kernel read operands from a parameter

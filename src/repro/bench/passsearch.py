@@ -118,7 +118,7 @@ def _full_cycles(personality: str, matrix, x, config: BenchConfig,
     ``(cycles, y)`` so callers can cross-check bit-identity."""
     artifact = get_system(f"aot:{personality}").prepare(
         split="row", threads=config.threads, dynamic=False,
-        backend="sim-fused", l1=BENCH_L1, l2=BENCH_L2,
+        backend="sim", l1=BENCH_L1, l2=BENCH_L2,
         opt_level=opt_level, search_budget=budget)
     plan = artifact.bind(matrix, x)
     result = plan.execute()

@@ -2,7 +2,7 @@
 
 The tentpole claim of the simulator stack is that specialization beats
 interpretation twice over: superblock-compiled execution plus the
-record/replay timing engine (``"sim-fused"``) retires the Fig-9
+record/replay timing engine (``"sim"``) retires the Fig-9
 workloads' instruction streams — *with* cycle-accurate timing — several
 times faster than the per-access reference path (``"sim-ref"``, the
 engine ``sim`` used before trace replay) while staying bit-identical on
@@ -13,8 +13,8 @@ operand mapping excluded).  Rows are emitted both as a rendered table
 and as ``BENCH_simspeed.json`` (path overridable via
 ``REPRO_BENCH_SIMSPEED_JSON``), which CI regenerates at tiny scale so
 the simulator's performance trajectory is tracked per commit; the CI
-step fails the build when the replay-backed ``sim-fused`` drops below
-the 3x acceptance target over ``sim-ref``.
+step fails the build when the replay-backed ``sim`` drops below the 3x
+acceptance target over ``sim-ref``.
 
 ``native`` rows report wall time only — the numpy backend retires no
 simulated instructions, so instructions/sec is not defined for it.
@@ -44,8 +44,8 @@ _D = 16
 
 #: measured backends, slowest-fidelity first; ``sim-ref`` — the
 #: per-access timing path — is the speedup baseline the acceptance
-#: target (>= 3x for the replay-backed ``sim-fused``) is against
-BACKENDS = ("native", "counts", "sim-ref", "sim", "sim-fused")
+#: target (>= 3x for the replay-backed ``sim``) is against
+BACKENDS = ("native", "counts", "sim-ref", "sim")
 
 #: the speedup denominator (the pre-replay ``sim`` implementation)
 BASELINE = "sim-ref"
@@ -119,8 +119,8 @@ class SimspeedResult:
         title = (
             "Simspeed — simulated instructions/sec per execution backend "
             f"(jit, row split, d={_D}, {self.config.threads} threads).\n"
-            "sim/sim-fused run the record/replay timing engine "
-            "(superblock-compiled for sim-fused): bit-identical counters\n"
+            "sim runs superblocks under the record/replay timing engine: "
+            "bit-identical counters\n"
             "— cycles included — to the per-access sim-ref path.\n"
             f"JSON written to {self.json_path}"
         )

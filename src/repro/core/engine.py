@@ -7,7 +7,7 @@ thread spawning, execution, result joining — behind two entry points:
   execution backend (same partitioning logic, host-speed numpy); use
   this in applications;
 * :meth:`JitSpMM.profile` — generate the specialized kernel and execute
-  it on a simulator backend (``"sim"`` / ``"counts"`` / ``"sim-fused"``
+  it on a simulator backend (``"sim"`` / ``"counts"`` / ``"sim-ref"``
   from the :mod:`repro.exec` registry), returning the perf counters the
   paper's evaluation reports; use this to reproduce the experiments.
 
@@ -22,7 +22,7 @@ Example::
     engine = JitSpMM(split="merge", threads=8)
     y = engine.multiply(A, X)                    # fast result
     result = engine.profile(A, X)                # simulated, with counters
-    fast = engine.profile(A, X, backend="sim-fused")  # superblock simulator
+    fast = engine.profile(A, X, backend="counts")  # counters, no cycle model
     print(result.counters)
     print(engine.inspect(A, X))                  # generated assembly
 
@@ -205,7 +205,7 @@ class JitSpMM:
         timing: Model caches/pipeline when profiling (slower, gives
             cycle estimates); counts are identical either way.
         backend: Execution backend :meth:`profile` dispatches to
-            (``"counts"``, ``"sim"``, ``"sim-fused"``, or any
+            (``"counts"``, ``"sim"``, ``"sim-ref"``, or any
             :func:`repro.exec.register_backend`-ed name); ``None``
             defers to ``timing``.
         cache: Optional shared :class:`repro.serve.KernelCache`;
@@ -317,7 +317,7 @@ class JitSpMM:
         """Generate the specialized kernel and run it on the simulator.
 
         ``backend`` overrides the engine's configured simulator backend
-        for this call (``"counts"``, ``"sim"``, ``"sim-fused"``)."""
+        for this call (``"counts"``, ``"sim"``, ``"sim-ref"``)."""
         return self.run(matrix, x, backend=backend)
 
     # ------------------------------------------------------------------

@@ -12,16 +12,13 @@ across ad hoc booleans (``timing=``, ``JitSpMM.multiply`` vs
 
 Built-ins (see :mod:`repro.exec.backends`): ``"native"`` (host-speed
 numpy result), ``"counts"`` (functional + event counters), ``"sim"``
-(cycle-accurate), and ``"sim-fused"`` (superblock-compiled counts
-fidelity — the paper's own specialization trick applied to the
-simulator, bit-identical to ``sim`` on results and event counters at
-several times the simulated instructions/sec).
+(cycle-accurate) and ``"sim-ref"`` (its per-access conformance oracle).
 
 Example::
 
     import repro
 
-    result = repro.run(A, X, system="jit", backend="sim-fused")
+    result = repro.run(A, X, system="jit", backend="sim")
     print(result.backend, result.counters.instructions)
 
     for name in repro.available_backends():

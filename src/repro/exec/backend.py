@@ -11,11 +11,10 @@ backend      result  counters  cycles
 native        yes      no        no
 counts        yes      yes       no
 sim           yes      yes       yes
-sim-fused     yes      yes       yes
 sim-ref       yes      yes       yes
 ===========  ======  ========  ======
 
-``sim`` and ``sim-fused`` run the record/replay timing engine
+``sim`` runs the record/replay timing engine
 (:mod:`repro.machine.replay`); ``sim-ref`` is the per-access reference
 implementation, bit-identical on every counter.
 
@@ -55,7 +54,7 @@ class Executor(abc.ABC):
 
     Attributes:
         name: Registry name (``"native"``, ``"counts"``, ``"sim"``,
-            ``"sim-fused"``).
+            ``"sim-ref"``).
         requires_kernel: False when the backend can serve a plan whose
             kernel was never resolved (the native numpy backend computes
             the result without generated code; the pipeline then skips

@@ -1,6 +1,6 @@
 """Built-in :class:`~repro.exec.Executor` implementations.
 
-Five backends cover today's speed/fidelity spectrum:
+Four backends cover today's speed/fidelity spectrum:
 
 * :class:`NativeExecutor` (``"native"``) — host-speed numpy over the
   plan's tuned row ranges; the production answer path.  No simulated
@@ -8,14 +8,13 @@ Five backends cover today's speed/fidelity spectrum:
 * :class:`CountsExecutor` (``"counts"``) — functional execution of the
   generated kernel with event counters (the pre-exec ``timing=False``).
 * :class:`SimExecutor` (``"sim"``) — cycle-accurate via the
-  record/replay timing engine (:mod:`repro.machine.replay`): stepped
-  execution records a columnar trace, the vectorized cache / predictor
-  / scoreboard models replay it in batch.
-* :class:`FusedExecutor` (``"sim-fused"``) — cycle-accurate *and*
-  superblock-compiled: fused basic-block execution feeds the same
-  record/replay timing engine.  Bit-identical counters (cycles
-  included) to ``sim`` and ``sim-ref``; several times the simulated
-  instructions/sec of the per-access path.
+  record/replay timing engine (:mod:`repro.machine.replay`): superblock
+  execution (:mod:`repro.machine.fused`) records a columnar trace, the
+  vectorized cache / predictor / scoreboard models replay it in batch.
+  Bit-identical counters (cycles included) to ``sim-ref`` at several
+  times its simulated instructions/sec.  ``"sim-fused"`` and
+  ``"fused"`` are aliases of it, kept because the frozen perfbench
+  ladder names a ``sim-fused`` rung.
 * :class:`SimRefExecutor` (``"sim-ref"``) — the per-access reference:
   caches, predictors and the pipeline scoreboard interpreted per
   instruction.  The conformance oracle (and escape hatch) for the
@@ -31,8 +30,8 @@ from repro.obs import record_counters
 
 from repro.exec.backend import Executor, register_backend
 
-__all__ = ["CountsExecutor", "FusedExecutor", "NativeExecutor",
-           "SimExecutor", "SimRefExecutor"]
+__all__ = ["CountsExecutor", "NativeExecutor", "SimExecutor",
+           "SimRefExecutor"]
 
 
 class NativeExecutor(Executor):
@@ -73,7 +72,6 @@ class MachineExecutor(Executor):
     provides_counters = True
     timing = False
     engine = "replay"
-    fused = False
 
     def execute(self, plan) -> RunResult:
         plan.ensure_kernel()
@@ -88,7 +86,6 @@ class MachineExecutor(Executor):
             plan._thread_specs(),
             warmup=config.warmup and self.timing,
             between_runs=plan._between_runs(),
-            fused=self.fused,
         )
         result = plan._make_result(merged, per_thread)
         result.backend = self.name
@@ -107,7 +104,7 @@ class CountsExecutor(MachineExecutor):
 
 class SimExecutor(MachineExecutor):
     """Cycle-accurate simulation through the record/replay timing
-    engine: stepped execution, trace-replayed caches / predictors /
+    engine: superblock execution, trace-replayed caches / predictors /
     scoreboard.  Bit-identical counters to ``sim-ref``."""
 
     name = "sim"
@@ -125,24 +122,7 @@ class SimRefExecutor(SimExecutor):
     engine = "ref"
 
 
-class FusedExecutor(SimExecutor):
-    """Superblock-compiled cycle-accurate simulation.
-
-    The paper's specialize-don't-interpret trick applied to the
-    simulator itself, twice over: basic blocks of instruction bodies
-    fuse into single closures with batched counter retirement
-    (:mod:`repro.machine.fused`), and the timing models replay the
-    recorded trace in vectorized batches (:mod:`repro.machine.replay`).
-    Bit-identical counters — cycles included — to ``sim`` and
-    ``sim-ref``, at several times their simulated instructions/sec.
-    """
-
-    name = "sim-fused"
-    fused = True
-
-
 register_backend("native", NativeExecutor(), aliases=("numpy",))
 register_backend("counts", CountsExecutor())
-register_backend("sim", SimExecutor())
+register_backend("sim", SimExecutor(), aliases=("sim-fused", "fused"))
 register_backend("sim-ref", SimRefExecutor())
-register_backend("sim-fused", FusedExecutor(), aliases=("fused",))

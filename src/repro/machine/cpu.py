@@ -10,13 +10,14 @@ Compilation is split from the run loop: :meth:`Cpu.semantics` compiles a
 instruction, a *body* closure (pure architectural semantics, no event
 accounting), the static counter *deltas* the instruction retires with,
 and a composed *step* closure (body + accounting, returning the next
-pc).  Both simulator backends share that one table: the per-instruction
-interpreter (:meth:`Cpu.run`) walks the step list, while the
-superblock-compiled backend (``fused=True``, see
-:mod:`repro.machine.fused`) batches the bodies of each basic block into
-a single closure with the counter bumps summed and hoisted, falling back
-to per-instruction stepping only at block boundaries, odd entry points,
-or when the execution-step limit is near.
+pc).  :meth:`Cpu.superblocks` fuses each basic block's bodies into a
+single closure with the counter bumps summed and hoisted
+(:mod:`repro.machine.fused`), and the one dispatch loop
+(:meth:`Cpu.run_quantum`, shared by :meth:`Cpu.run` and the SMP
+scheduler) retires whole blocks while they fit the turn and single
+steps otherwise: at odd entry points, for quantum or limit residues
+smaller than a block, and for every instruction of the per-access
+reference engine, whose dynamic accounting leaves nothing to fuse.
 
 Semantics notes (documented deviations, none observable by the kernels
 this library generates):
@@ -45,6 +46,7 @@ from repro.isa.registers import GPR64, VectorRegister, gpr
 from repro.machine.branch import make_predictor
 from repro.machine.cache import CacheConfig, CacheHierarchy
 from repro.machine.counters import Counters, make_bump
+from repro.machine.fused import build_block_table
 from repro.machine.memory import Memory
 from repro.machine.pipeline import PipelineModel, PipelineSpec, ReplayInsn
 from repro.machine.replay import ReplayEngine
@@ -59,6 +61,9 @@ _FLOP_MNEMONICS = ("vaddps", "vsubps", "vmulps", "vdivps",
 #: (far below the recorder's event limit, far above per-instruction)
 _FLUSH_CHECK_STRIDE = 4096
 
+#: the turn length :meth:`Cpu.run` drives its single thread with
+_UNBOUNDED_QUANTUM = 1 << 62
+
 
 @dataclass(frozen=True)
 class CpuConfig:
@@ -71,10 +76,9 @@ class CpuConfig:
     ``"ref"`` interprets the cache/predictor/pipeline models per access
     (the reference path, the ``sim-ref`` backend), ``"replay"`` records
     a columnar trace and replays it through the vectorized models in
-    :mod:`repro.machine.replay` — bit-identical counters, several times
-    the simulated instruction throughput, and compatible with
-    superblock-fused execution.  ``max_instructions`` bounds each
-    thread's dynamic instruction count
+    :mod:`repro.machine.replay` — bit-identical counters at several
+    times the simulated instruction throughput.  ``max_instructions``
+    bounds each thread's dynamic instruction count
     (:class:`repro.api.ExecutionConfig` exposes it as ``max_steps``).
     """
 
@@ -210,6 +214,10 @@ class Cpu:
         # reused by a new one, which would replay stale closures
         self._compiled: dict[str, ProgramSemantics] = {}
         self._superblocks: dict[str, list] = {}
+        # the program in flight (see start()): nothing loaded yet
+        self.pc = 0
+        self.executed = 0
+        self.done = True
 
     def reset_metrics(self) -> None:
         """Zero counters and restart the pipeline clock; keep caches and
@@ -277,73 +285,120 @@ class Cpu:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    def start(
+        self,
+        program: Program,
+        init_gpr: dict | None = None,
+        entry: int | str = 0,
+        fuel: int | None = None,
+        name: str = "",
+    ) -> None:
+        """Load ``program`` for execution by :meth:`run_quantum`.
+
+        ``init_gpr`` maps registers (objects or names) to initial values,
+        the simulated analogue of function arguments.  ``fuel`` bounds the
+        dynamic instruction count (defaults to the config's limit);
+        ``name`` labels the thread in the limit error.
+        """
+        for reg, value in (init_gpr or {}).items():
+            self.set_gpr(reg, value)
+        semantics = self.semantics(program)
+        self._steps = semantics.steps
+        self._blocks = self.superblocks(program)
+        if self.replay is not None:
+            self.replay.begin(program, semantics)
+        self._program = program
+        self._thread_name = name
+        self._limit = fuel if fuel is not None else self.config.max_instructions
+        self.pc = program.target_index(entry) if isinstance(entry, str) else entry
+        self.executed = 0
+        self.done = not 0 <= self.pc < len(self._steps)
+
+    def run_quantum(self, quantum: int) -> None:
+        """Retire up to ``quantum`` instructions of the started program.
+
+        The recorder's memory bound must hold inside one turn too, so a
+        turn longer than the flush-check stride runs in stride-sized
+        slices with a flush-pressure check before each.  Slicing never
+        changes semantics: the turn still retires exactly ``quantum``
+        instructions, and a block that no longer fits a slice residue
+        is stepped, which is bit-identical by the fusion contract.
+        """
+        replay = self.replay
+        if replay is None:
+            self._run_slice(quantum)
+            return
+        while quantum > 0 and not self.done:
+            if replay.should_flush():
+                replay.flush()
+            self._run_slice(min(quantum, _FLUSH_CHECK_STRIDE))
+            quantum -= _FLUSH_CHECK_STRIDE
+
+    def _run_slice(self, quantum: int) -> None:
+        """The instruction-dispatch loop: whole superblocks while they
+        fit the remaining budget, single steps otherwise.
+
+        The budget stops one instruction past the execution limit, so
+        the limit fires after exactly the instruction it would under
+        pure stepping.
+        """
+        steps = self._steps
+        blocks = self._blocks
+        n = len(steps)
+        pc = self.pc
+        budget = remaining = min(quantum, self._limit + 1 - self.executed)
+        while remaining > 0:
+            block = blocks[pc]
+            if block is not None and block.length <= remaining:
+                pc = block.run()
+                remaining -= block.length
+            else:
+                pc = steps[pc]()
+                remaining -= 1
+            if not 0 <= pc < n:
+                self.done = True
+                break
+        self.pc = pc
+        self.executed += budget - remaining
+        if self.executed > self._limit:
+            raise ExecutionLimitExceeded(
+                f"thread {self._thread_name or '<unnamed>'!r} exceeded the "
+                f"{self._limit}-instruction execution limit in program "
+                f"{self._program.name!r} (infinite loop? raise "
+                f"ExecutionConfig.max_steps for long workloads)"
+            )
+
+    def finish(self) -> Counters:
+        """Publish the modeled cycle count of a completed run; returns
+        this CPU's counters."""
+        if self.pipeline is not None:
+            self.counters.cycles = self.pipeline.cycles
+        else:
+            self.flush_timing(set_cycles=True)
+        return self.counters
+
     def run(
         self,
         program: Program,
         init_gpr: dict | None = None,
         entry: int | str = 0,
         fuel: int | None = None,
-        fused: bool = False,
     ) -> Counters:
         """Execute ``program`` until ``ret``; returns this CPU's counters.
 
-        ``init_gpr`` maps registers (objects or names) to initial values,
-        the simulated analogue of function arguments.  ``fuel`` bounds the
-        dynamic instruction count (defaults to the config's limit).
-        ``fused=True`` executes whole basic blocks at a time through the
-        superblock compiler (counts fidelity only); results and counters
-        are bit-identical to per-instruction stepping.
+        One thread driven with an unbounded quantum; the arguments are
+        :meth:`start`'s.
         """
-        if init_gpr:
-            for reg, value in init_gpr.items():
-                self.set_gpr(reg, value)
-        semantics = self.semantics(program)
-        steps = semantics.steps
-        blocks = self.superblocks(program) if fused else None
-        replay = self.replay
-        if replay is not None:
-            replay.begin(program, semantics)
-        pc = program.target_index(entry) if isinstance(entry, str) else entry
-        limit = fuel if fuel is not None else self.config.max_instructions
-        executed = 0
-        n = len(steps)
-        # flush-pressure watermark: the recorder only needs a bounded-
-        # memory check every so often, so the hot loop compares one
-        # local int instead of calling into the engine per instruction
-        check_at = _FLUSH_CHECK_STRIDE if replay is not None else 1 << 62
+        self.start(program, init_gpr, entry, fuel)
         try:
-            while 0 <= pc < n:
-                if blocks is not None:
-                    block = blocks[pc]
-                    if block is not None and executed + block.length <= limit:
-                        pc = block.run()
-                        executed += block.length
-                        if executed >= check_at:
-                            check_at = executed + _FLUSH_CHECK_STRIDE
-                            if replay.should_flush():
-                                replay.flush()
-                        continue
-                pc = steps[pc]()
-                executed += 1
-                if executed > limit:
-                    raise ExecutionLimitExceeded(
-                        f"exceeded the {limit}-instruction execution limit in "
-                        f"{program.name!r} (infinite loop?)"
-                    )
-                if executed >= check_at:
-                    check_at = executed + _FLUSH_CHECK_STRIDE
-                    if replay.should_flush():
-                        replay.flush()
+            if not self.done:
+                self.run_quantum(_UNBOUNDED_QUANTUM)
         except BaseException:
             # retire the completed prefix's timing so fault-time counters
             # are bit-identical to per-access interpretation
             self.flush_timing()
             raise
-        if self.pipeline is not None:
-            self.counters.cycles = self.pipeline.cycles
-        else:
-            self.flush_timing(set_cycles=True)
-        return self.counters
+        return self.finish()
 
     # ------------------------------------------------------------------
     # Instruction compilation
@@ -361,24 +416,12 @@ class Cpu:
         self._compiled[key] = table
         return table
 
-    def _compile(self, program: Program) -> list:
-        """Back-compat shim: the interpreter step list for ``program``."""
-        return self.semantics(program).steps
-
     def superblocks(self, program: Program) -> list:
         """The superblock table for ``program`` (cached); see
         :func:`repro.machine.fused.build_block_table`."""
-        if self.caches is not None:
-            raise MachineError(
-                "superblock execution models counts fidelity or "
-                "record/replay timing; build the Cpu with timing=False "
-                "or engine='replay' (the sim-ref backend steps per "
-                "instruction)")
         key = program.fingerprint()
         table = self._superblocks.get(key)
         if table is None:
-            from repro.machine.fused import build_block_table
-
             table = build_block_table(
                 self.semantics(program), program, self.counters,
                 recorder=self.replay.recorder if self.record else None,

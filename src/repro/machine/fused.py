@@ -12,20 +12,24 @@ instruction *bodies* (pure semantics, compiled once by
 closure — generated Python source, compiled once per block shape — with
 the event-counter bumps summed over the block and retired in one batch.
 
-Fidelity contract: superblocks model *counts* fidelity (results + event
-counters; no caches, no pipeline, cycles stay 0).  Because every body is
-the same closure the per-instruction interpreter runs, and the batched
-counter deltas are summed from the same static per-instruction deltas,
-a fused execution is bit-identical to per-instruction stepping — the
-conformance suite asserts this across every registered system.  The
-scheduler falls back to per-instruction stepping for entry points that
-land mid-block, for quantum/fuel residues smaller than a block, and
-near the execution-step limit (so the limit still triggers at the exact
-instruction it would under interpretation).  A body that *faults*
-mid-block (simulated segmentation fault) falls back to per-instruction
-accounting on the way out: the completed prefix's counters are retired
-individually before the error propagates, so fault-time counter and
-architectural state are also bit-identical to stepping.
+Fidelity contract: superblocks are how the simulator always runs — in
+counts fidelity (results + event counters) and, with each driver also
+appending its pc range to the trace, under record/replay timing.
+Because every body is the same closure a single step runs, and the
+batched counter deltas are summed from the same static per-instruction
+deltas, a fused execution is bit-identical to per-instruction stepping
+— the conformance suite asserts this across every registered system
+against the per-access reference engine, whose dynamic accounting
+exposes no static deltas, so its table is all ``None`` and it steps.
+The dispatch loop (:meth:`repro.machine.cpu.Cpu.run_quantum`) falls
+back to per-instruction steps for entry points that land mid-block and
+for quantum, fuel or execution-limit residues smaller than a block (so
+the limit still fires at the exact instruction it would under
+interpretation).  A body that *faults* mid-block (simulated
+segmentation fault) falls back to per-instruction accounting on the way
+out: the completed prefix's counters are retired individually before
+the error propagates, so fault-time counter and architectural state are
+also bit-identical to stepping.
 """
 
 from __future__ import annotations
@@ -195,7 +199,7 @@ def build_block_table(semantics, program, counters: Counters,
         if not straight:
             continue  # a lone branch: nothing to fuse
         if any(sem.body is None or sem.deltas is None for sem in straight):
-            continue  # dynamic accounting (timing fidelity): not fusible
+            continue  # dynamic accounting (the ref engine): not fusible
         # chunk long straight-line runs so every superblock fits inside
         # one scheduling quantum; each chunk exits into the next, the
         # final chunk carries the block's terminator

@@ -10,11 +10,11 @@ SpMM itself.
 
 This module applies the same split to the timing half of the machine:
 
-* **record** — execution (stepped or superblock-fused) emits a compact
-  columnar trace: contiguous pc ranges (*units*, one per superblock
-  chunk or stepped instruction), effective addresses in event order,
-  and packed conditional-branch outcomes.  Recording is a handful of
-  list appends per unit/event; no model code runs in the hot loop.
+* **record** — execution emits a compact columnar trace: contiguous pc
+  ranges (*units*, one per superblock chunk or stepped instruction),
+  effective addresses in event order, and packed conditional-branch
+  outcomes.  Recording is a handful of list appends per unit/event; no
+  model code runs in the hot loop.
 * **replay** — :meth:`ReplayEngine.flush` consumes the columns in
   batch: the address vector is classified by the array-based LRU
   engine (:class:`~repro.machine.cache.VectorCacheHierarchy`), branch
@@ -348,8 +348,8 @@ def replay_cost(memory, thread_specs, *, l1=None, l2=None,
 
     The feedback-directed codegen search (:mod:`repro.aot.search`)
     compiles many candidate kernels and needs a cheap, deterministic
-    fitness function; this is it: one cold-state, superblock-fused run
-    of ``thread_specs`` against ``memory`` on the record/replay engine,
+    fitness function; this is it: one cold-state run of
+    ``thread_specs`` against ``memory`` on the record/replay engine,
     returning the merged :class:`~repro.machine.counters.Counters`
     (``.cycles`` is the score; the functional results land in the
     mapped operand segments for conformance checking).  Imports stay
@@ -364,5 +364,5 @@ def replay_cost(memory, thread_specs, *, l1=None, l2=None,
         overrides["max_instructions"] = max_instructions
     machine = Machine(memory, CpuConfig(timing=True, engine="replay",
                                         l1=l1, l2=l2, **overrides))
-    merged, _ = machine.run(list(thread_specs), fused=True)
+    merged, _ = machine.run(list(thread_specs))
     return merged

@@ -14,22 +14,20 @@ with a deterministic interleaving.  Instructions never interleave
 *within* an instruction, so ``lock``-prefixed read-modify-writes are
 atomic by construction.
 
-Superblock execution (``fused=True``, the ``sim-fused`` backend)
-preserves that contract exactly: a thread's turn still retires exactly
-``quantum`` instructions — whole blocks while they fit, per-instruction
-steps for the residue — so the global interleaving, and with it every
-``lock xadd`` race outcome and per-thread counter, is bit-identical to
-per-instruction scheduling.
+Superblock dispatch (:meth:`Cpu.run_quantum`) preserves that contract
+exactly: a thread's turn still retires exactly ``quantum`` instructions
+— whole blocks while they fit, per-instruction steps for the residue —
+so the global interleaving, and with it every ``lock xadd`` race outcome
+and per-thread counter, is bit-identical to per-instruction scheduling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import ExecutionLimitExceeded
 from repro.isa.assembler import Program
 from repro.machine.counters import Counters
-from repro.machine.cpu import _FLUSH_CHECK_STRIDE, Cpu, CpuConfig
+from repro.machine.cpu import Cpu, CpuConfig
 from repro.machine.memory import Memory
 
 __all__ = ["Machine", "ThreadSpec"]
@@ -47,111 +45,6 @@ class ThreadSpec:
     program: Program
     init_gpr: dict = field(default_factory=dict)
     name: str = ""
-
-
-class _ThreadState:
-    def __init__(self, cpu: Cpu, spec: ThreadSpec, fused: bool = False) -> None:
-        self.cpu = cpu
-        self.spec = spec
-        for reg, value in spec.init_gpr.items():
-            cpu.set_gpr(reg, value)
-        semantics = cpu.semantics(spec.program)
-        self.steps = semantics.steps
-        self.blocks = cpu.superblocks(spec.program) if fused else None
-        if cpu.record:
-            cpu.replay.begin(spec.program, semantics)
-        self.limit = cpu.config.max_instructions
-        self.pc = 0
-        self.done = len(self.steps) == 0
-        self.executed = 0
-
-    def run_quantum(self, quantum: int) -> None:
-        replay = self.cpu.replay
-        if replay is None:
-            self._run_slice(quantum)
-            return
-        # the recorder's memory bound must hold inside one turn too: an
-        # oversized custom quantum is run in stride-sized slices with a
-        # flush-pressure check between them.  Slicing never changes
-        # semantics — the turn still retires exactly ``quantum``
-        # instructions, and a block that no longer fits a slice residue
-        # is stepped, which is bit-identical by the fusion contract.
-        while True:
-            if replay.should_flush():
-                replay.flush()
-            if quantum <= _FLUSH_CHECK_STRIDE:
-                self._run_slice(quantum)
-                return
-            self._run_slice(_FLUSH_CHECK_STRIDE)
-            quantum -= _FLUSH_CHECK_STRIDE
-            if self.done:
-                return
-
-    def _run_slice(self, quantum: int) -> None:
-        if self.executed + quantum > self.limit:
-            self._run_quantum_near_limit(quantum)
-            return
-        steps = self.steps
-        pc = self.pc
-        n = len(steps)
-        remaining = quantum
-        blocks = self.blocks
-        if blocks is None:
-            while remaining > 0:
-                pc = steps[pc]()
-                self.executed += 1
-                remaining -= 1
-                if not 0 <= pc < n:
-                    self.done = True
-                    break
-        else:
-            while remaining > 0:
-                block = blocks[pc]
-                if block is not None and block.length <= remaining:
-                    pc = block.run()
-                    self.executed += block.length
-                    remaining -= block.length
-                else:
-                    pc = steps[pc]()
-                    self.executed += 1
-                    remaining -= 1
-                if not 0 <= pc < n:
-                    self.done = True
-                    break
-        self.pc = pc
-
-    def _run_quantum_near_limit(self, quantum: int) -> None:
-        """Per-instruction stepping with an exact limit check.
-
-        Within one quantum of the execution-step budget the scheduler
-        abandons superblocks, so the limit triggers at precisely the
-        instruction it would under per-instruction interpretation.
-        """
-        steps = self.steps
-        pc = self.pc
-        n = len(steps)
-        for _ in range(quantum):
-            pc = steps[pc]()
-            self.executed += 1
-            if self.executed > self.limit:
-                self.pc = pc
-                raise ExecutionLimitExceeded(
-                    f"thread {self.spec.name or '<unnamed>'!r} exceeded the "
-                    f"{self.limit}-instruction execution limit in program "
-                    f"{self.spec.program.name!r} (infinite loop? raise "
-                    f"ExecutionConfig.max_steps for long workloads)"
-                )
-            if not 0 <= pc < n:
-                self.done = True
-                break
-        self.pc = pc
-
-    def finalize(self) -> Counters:
-        if self.cpu.pipeline is not None:
-            self.cpu.counters.cycles = self.cpu.pipeline.cycles
-        else:
-            self.cpu.flush_timing(set_cycles=True)
-        return self.cpu.counters
 
 
 class Machine:
@@ -174,7 +67,6 @@ class Machine:
         threads: list[ThreadSpec],
         warmup: bool = False,
         between_runs=None,
-        fused: bool = False,
     ) -> tuple[Counters, list[Counters]]:
         """Run all threads to completion.
 
@@ -187,24 +79,19 @@ class Machine:
         the steady state the paper's average-of-ten methodology reports.
         ``between_runs()`` is called after the warm-up pass so the caller
         can reset non-idempotent shared state (the dynamic dispatcher's
-        ``NEXT`` counter).  ``fused=True`` executes through the
-        superblock compiler (counts fidelity only; bit-identical
-        results, counters and interleaving).
+        ``NEXT`` counter).
         """
         cpus = [Cpu(self.memory, self.config) for _ in threads]
         if warmup:
             for cpu in cpus:
                 cpu.disable_pipeline()  # warm caches/predictors cheaply
-            self._execute([_ThreadState(cpu, spec, fused=fused)
-                           for cpu, spec in zip(cpus, threads)])
+            self._execute(cpus, threads)
             for cpu in cpus:
                 cpu.reset_metrics()
             if between_runs is not None:
                 between_runs()
-        states = [_ThreadState(cpu, spec, fused=fused)
-                  for cpu, spec in zip(cpus, threads)]
-        self._execute(states)
-        per_thread = [state.finalize() for state in states]
+        self._execute(cpus, threads)
+        per_thread = [cpu.finish() for cpu in cpus]
         merged = Counters()
         for counters in per_thread:
             merged.merge(counters)
@@ -212,24 +99,26 @@ class Machine:
             merged.cycles += THREAD_OVERHEAD_CYCLES
         return merged, per_thread
 
-    def _execute(self, states: list[_ThreadState]) -> None:
+    def _execute(self, cpus: list[Cpu], threads: list[ThreadSpec]) -> None:
+        for cpu, spec in zip(cpus, threads):
+            cpu.start(spec.program, spec.init_gpr, name=spec.name)
         quantum = self.quantum
         try:
             while True:
                 alive = False
-                for state in states:
-                    if state.done:
+                for cpu in cpus:
+                    if cpu.done:
                         continue
                     alive = True
-                    state.run_quantum(quantum)
+                    cpu.run_quantum(quantum)
                 if not alive:
                     break
         except BaseException:
             # a faulting thread ends the run: replay every thread's
             # recorded prefix so fault-time counters match per-access
             # interpretation (cycles stay unset, as on the ref path)
-            for state in states:
-                state.cpu.flush_timing()
+            for cpu in cpus:
+                cpu.flush_timing()
             raise
 
     def run_single(self, spec: ThreadSpec) -> Counters:

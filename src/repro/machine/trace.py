@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.isa.assembler import Program
-from repro.machine.cpu import Cpu
+from repro.machine.cpu import Cpu, ProgramSemantics
 
 __all__ = ["TraceEntry", "Tracer"]
 
@@ -47,30 +47,28 @@ class Tracer:
     def run(self, program: Program, **kwargs) -> None:
         """Execute ``program`` on the wrapped CPU, recording the trace.
 
-        Execution is always per-instruction: superblocks run unwrapped
-        bodies, which would silently drop fused instructions from the
-        trace, so a ``fused=True`` request is rejected rather than
-        producing a misleading partial recording.
+        Superblocks run unwrapped bodies, which would silently drop
+        fused instructions from the trace, so the wrapped steps are
+        installed next to an empty block table: every instruction is
+        dispatched as a single step.  The CPU's own compiled entries
+        come back on exit.
         """
-        from repro.machine.cpu import ProgramSemantics
-
-        if kwargs.pop("fused", False):
-            raise ValueError(
-                "Tracer records per-retired-instruction; superblock "
-                "execution (fused=True) would bypass the trace hooks")
-        semantics = self.cpu.semantics(program)
+        cpu = self.cpu
+        semantics = cpu.semantics(program)
         texts = [str(insn) for insn in program.instructions]
         wrapped = [self._wrap(step, pc, texts[pc])
                    for pc, step in enumerate(semantics.steps)]
-        # temporarily substitute the compiled steps (the cache is keyed
-        # on content fingerprint, not object identity)
+        # both caches are keyed on content fingerprint, not object
+        # identity
         key = program.fingerprint()
-        self.cpu._compiled[key] = ProgramSemantics(semantics.insns,
-                                                   steps=wrapped)
+        blocks = cpu.superblocks(program)
+        cpu._compiled[key] = ProgramSemantics(semantics.insns, steps=wrapped)
+        cpu._superblocks[key] = [None] * len(wrapped)
         try:
-            self.cpu.run(program, **kwargs)
+            cpu.run(program, **kwargs)
         finally:
-            self.cpu._compiled.pop(key, None)
+            cpu._compiled[key] = semantics
+            cpu._superblocks[key] = blocks
 
     def _wrap(self, step, pc: int, text: str):
         entries = self.entries

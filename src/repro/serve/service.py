@@ -360,7 +360,7 @@ class SpmmService:
             (legacy spelling of ``backend``: sim vs counts).
         backend: Default execution backend for ``profile`` requests —
             any :func:`repro.exec.get_backend`-resolvable name
-            (``"counts"``, ``"sim"``, ``"sim-fused"``, ...); ``None``
+            (``"counts"``, ``"sim"``, ``"sim-ref"``, ...); ``None``
             defers to ``timing``.  ``multiply`` always serves on the
             ``"native"`` backend.  Per-request overrides win;
             :meth:`report` breaks traffic down per backend.
@@ -1340,7 +1340,7 @@ class SpmmService:
         simulated threads run the identical instruction stream.
 
         ``backend`` picks the simulator backend for this request
-        (``"counts"`` / ``"sim"`` / ``"sim-fused"``); ``timing`` is the
+        (``"counts"`` / ``"sim"`` / ``"sim-ref"``); ``timing`` is the
         legacy boolean spelling.  Explicit per-request arguments beat
         the service defaults.
         """
@@ -1370,7 +1370,7 @@ class SpmmService:
                     f"profile() returns perf counters, which backend "
                     f"{resolved!r} does not produce; use multiply() for "
                     f"the plain product or a simulator backend "
-                    f"(counts/sim/sim-fused)")
+                    f"(counts/sim/sim-ref)")
             # the workspace's mapped segments are shared mutable state:
             # serialize concurrent profiles of the same (handle, d)
             with ws.lock:

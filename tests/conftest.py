@@ -5,7 +5,26 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.machine import CpuConfig
 from repro.sparse import CsrMatrix
+
+#: the simulator's conformance oracle: the per-access reference engine
+#: fuses nothing, so it retires one instruction per dispatch
+REF_CPU = CpuConfig(timing=True, engine="ref")
+#: the two fidelities the superblock driver serves
+DRIVER_CPUS = (CpuConfig(timing=True, engine="replay"),
+               CpuConfig(timing=False))
+
+
+def comparable(counters, config: CpuConfig) -> dict:
+    """``counters`` as a dict, minus what ``config`` does not model (the
+    timing models' own products stay 0 in counts fidelity)."""
+    out = counters.as_dict()
+    if not config.timing:
+        for name in ("cycles", "l1_hits", "l1_misses", "l2_hits",
+                     "l2_misses"):
+            del out[name]
+    return out
 
 
 @pytest.fixture

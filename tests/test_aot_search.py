@@ -86,10 +86,10 @@ class TestSearch:
         x = np.random.default_rng(5).standard_normal(
             (matrix.ncols, 16), dtype=np.float32)
         fixed = get_system("aot:gcc").prepare(
-            split="row", threads=1, dynamic=False, backend="sim-fused",
+            split="row", threads=1, dynamic=False, backend="sim",
             opt_level=0).bind(matrix, x).execute().y
         searched = get_system("aot:gcc").prepare(
-            split="row", threads=1, dynamic=False, backend="sim-fused",
+            split="row", threads=1, dynamic=False, backend="sim",
             opt_level=3, search_budget=8).bind(matrix, x).execute().y
         assert np.array_equal(fixed, searched, equal_nan=True)
         assert choice.cycles <= choice.baseline_cycles
@@ -166,10 +166,10 @@ class TestConfigSurface:
         x = np.random.default_rng(9).standard_normal(
             (matrix.ncols, 8), dtype=np.float32)
         base = get_system("aot:clang").prepare(
-            split="row", threads=1, dynamic=False, backend="sim-fused",
+            split="row", threads=1, dynamic=False, backend="sim",
             opt_level=0).bind(matrix, x).execute().y
         opt = get_system("aot:clang").prepare(
-            split="row", threads=1, dynamic=False, backend="sim-fused",
+            split="row", threads=1, dynamic=False, backend="sim",
             opt_level=level).bind(matrix, x).execute().y
         assert np.array_equal(base, opt, equal_nan=True)
 

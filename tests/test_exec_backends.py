@@ -1,7 +1,7 @@
 """Tests for the execution-backend layer (`repro.exec`).
 
 The heart of this file is the simulator conformance contract: the
-trace-replay backends (``sim``, ``sim-fused``) must be bit-identical to
+trace-replay backend (``sim``, alias ``sim-fused``) must be bit-identical to
 the per-access reference (``sim-ref``) on *every* counter field —
 cycles and cache levels included — across every registered system,
 across dynamic-dispatch races, per thread — while the backend axis
@@ -18,7 +18,8 @@ import repro
 from repro.core.runner import run_aot, run_jit, run_mkl
 from repro.datasets import load
 from repro.errors import ExecutionLimitExceeded, RegistryError, ShapeError
-from repro.exec import Executor, backend_capabilities, get_backend
+from repro.exec import (Executor, backend_capabilities, canonical_name,
+                        get_backend)
 from repro.serve import SpmmService
 
 _TWINS = ("uk-2005", "GAP-urand")
@@ -50,7 +51,9 @@ class TestRegistry:
             assert required in names
 
     def test_aliases_resolve_to_canonical(self):
-        assert get_backend("fused").name == "sim-fused"
+        assert (canonical_name("sim-fused") == canonical_name("fused")
+                == "sim")
+        assert get_backend("fused") is get_backend("sim")
         assert get_backend("numpy").name == "native"
 
     def test_unknown_backend_raises(self):
@@ -65,14 +68,14 @@ class TestRegistry:
                                     "cycles": False}
         assert matrix["sim"] == {"result": True, "counters": True,
                                  "cycles": True}
-        assert matrix["sim-fused"] == {"result": True, "counters": True,
-                                       "cycles": True}
         assert matrix["sim-ref"] == {"result": True, "counters": True,
                                      "cycles": True}
+        # aliases are spellings, not backends
+        assert set(matrix) == {"native", "counts", "sim", "sim-ref"}
 
     def test_native_needs_no_kernel(self):
         assert get_backend("native").requires_kernel is False
-        assert get_backend("sim-fused").requires_kernel is True
+        assert get_backend("sim").requires_kernel is True
 
     def test_alias_cannot_shadow_a_canonical_backend(self):
         """Regression: an alias colliding with a builtin name used to
@@ -130,8 +133,8 @@ class TestRegistry:
 class TestExecutionConfig:
     def test_backend_validated_and_normalized(self):
         config = repro.ExecutionConfig(backend="fused")
-        assert config.backend == "sim-fused"
-        assert config.effective_backend == "sim-fused"
+        assert config.backend == "sim"
+        assert config.effective_backend == "sim"
 
     def test_unknown_backend_rejected_at_construction(self):
         with pytest.raises(RegistryError):
@@ -152,7 +155,8 @@ class TestExecutionConfig:
 
 
 class TestBackendSelection:
-    """All four backends, from every entry point (acceptance criterion)."""
+    """Every backend, and the ``sim-fused`` alias of ``sim``, from every
+    entry point (acceptance criterion)."""
 
     @pytest.mark.parametrize("backend", ["native", "counts", "sim",
                                          "sim-fused"])
@@ -161,7 +165,7 @@ class TestBackendSelection:
         x = _dense(matrix)
         result = repro.run(matrix, x, system="jit", threads=3,
                            backend=backend)
-        assert result.backend == backend
+        assert result.backend == canonical_name(backend)
         assert np.array_equal(result.y, repro.spmm_reference(matrix, x))
         if backend == "native":
             assert result.counters.instructions == 0
@@ -176,7 +180,7 @@ class TestBackendSelection:
         x = _dense(matrix)
         engine = repro.JitSpMM(split="nnz", threads=2, backend=backend)
         result = engine.profile(matrix, x)
-        assert result.backend == backend
+        assert result.backend == canonical_name(backend)
         assert np.array_equal(result.y, repro.spmm_reference(matrix, x))
         # multiply always serves on the native backend, no codegen
         assert np.array_equal(engine.multiply(matrix, x),
@@ -193,7 +197,7 @@ class TestBackendSelection:
                     backend=backend),
             run_mkl(matrix, x, threads=2, backend=backend),
         ):
-            assert result.backend == backend
+            assert result.backend == canonical_name(backend)
             assert np.allclose(result.y, expected, atol=1e-4)
 
     @pytest.mark.parametrize("backend", ["counts", "sim", "sim-fused"])
@@ -203,7 +207,7 @@ class TestBackendSelection:
         service = SpmmService(threads=2, split="auto", backend=backend)
         handle = service.register(matrix, "t")
         result = service.profile(handle, x)
-        assert result.backend == backend
+        assert result.backend == canonical_name(backend)
         assert np.array_equal(result.y, repro.spmm_reference(matrix, x))
 
     def test_bench_harness(self, monkeypatch):
@@ -213,19 +217,19 @@ class TestBackendSelection:
         from repro.bench.harness import BenchConfig
 
         config = BenchConfig()
-        for backend in ("counts", "sim", "sim-fused"):
+        for backend in ("counts", "sim"):
             row = config.run("jit", "uk-2005", 16, backend=backend,
                              timing=backend == "sim")
             assert row.backend == backend
         # an alias spelling hits the canonical memo cell, not a rerun
-        fused = config.run("jit", "uk-2005", 16, backend="sim-fused",
-                           timing=False)
-        assert config.run("jit", "uk-2005", 16, backend="fused",
-                          timing=False) is fused
+        for alias in ("sim-fused", "fused"):
+            assert config.run("jit", "uk-2005", 16, backend=alias,
+                              timing=False) is row
 
 
 class TestReplayConformance:
-    """`sim`/`sim-fused` are bit-identical to the per-access reference."""
+    """`sim` is bit-identical to the per-access reference (its alias
+    spellings are swept in test_machine_replay's registry sweep)."""
 
     @pytest.mark.parametrize("dataset", _TWINS)
     @pytest.mark.parametrize("system", _CANONICAL)
@@ -235,12 +239,10 @@ class TestReplayConformance:
         x = _dense(matrix)
         ref = repro.run(matrix, x, system=system, threads=3,
                         backend="sim-ref")
-        for backend in ("sim", "sim-fused"):
-            replayed = repro.run(matrix, x, system=system, threads=3,
-                                 backend=backend)
-            assert np.array_equal(ref.y, replayed.y), (system, backend)
-            assert _counter_dicts(ref) == _counter_dicts(replayed), (
-                system, backend)
+        replayed = repro.run(matrix, x, system=system, threads=3,
+                             backend="sim")
+        assert np.array_equal(ref.y, replayed.y)
+        assert _counter_dicts(ref) == _counter_dicts(replayed)
 
     def test_event_counters_match_counts(self, twins):
         """Against the counts backend: every architectural event agrees;
@@ -252,13 +254,12 @@ class TestReplayConformance:
         x = _dense(matrix)
         counts = repro.run(matrix, x, system="jit", threads=3,
                            backend="counts")
-        fused = repro.run(matrix, x, system="jit", threads=3,
-                          backend="sim-fused")
-        assert np.array_equal(counts.y, fused.y)
-        for merged_counts, merged_fused in zip(
+        sim = repro.run(matrix, x, system="jit", threads=3, backend="sim")
+        assert np.array_equal(counts.y, sim.y)
+        for merged_counts, merged_sim in zip(
                 [counts.counters, *counts.per_thread],
-                [fused.counters, *fused.per_thread]):
-            a, b = merged_counts.as_dict(), merged_fused.as_dict()
+                [sim.counters, *sim.per_thread]):
+            a, b = merged_counts.as_dict(), merged_sim.as_dict()
             assert a["cycles"] == 0 and b["cycles"] > 0
             for name in timing_model_fields:
                 a.pop(name), b.pop(name)
@@ -276,21 +277,20 @@ class TestReplayConformance:
         x = _dense(matrix, d=8)
         kwargs = dict(split=split, dynamic=dynamic, threads=4)
         ref = run_jit(matrix, x, backend="sim-ref", **kwargs)
-        fused = run_jit(matrix, x, backend="sim-fused", **kwargs)
-        assert np.array_equal(ref.y, fused.y)
-        assert _counter_dicts(ref) == _counter_dicts(fused)
+        sim = run_jit(matrix, x, backend="sim", **kwargs)
+        assert np.array_equal(ref.y, sim.y)
+        assert _counter_dicts(ref) == _counter_dicts(sim)
 
     def test_warmup_measures_the_warm_run(self, twins):
         """warmup=True warms caches/predictors through the replay
         engine exactly as the reference path does."""
         matrix = twins["uk-2005"]
         x = _dense(matrix)
-        for backend in ("sim", "sim-fused"):
-            ref = run_jit(matrix, x, split="nnz", threads=2,
-                          backend="sim-ref", warmup=True)
-            warm = run_jit(matrix, x, split="nnz", threads=2,
-                           backend=backend, warmup=True)
-            assert _counter_dicts(ref) == _counter_dicts(warm), backend
+        ref = run_jit(matrix, x, split="nnz", threads=2,
+                      backend="sim-ref", warmup=True)
+        warm = run_jit(matrix, x, split="nnz", threads=2,
+                       backend="sim", warmup=True)
+        assert _counter_dicts(ref) == _counter_dicts(warm)
 
 
 class TestMaxSteps:
@@ -317,7 +317,7 @@ class TestMaxSteps:
         matrix = twins["uk-2005"]
         x = _dense(matrix)
         result = repro.run(matrix, x, system="jit", threads=2,
-                           backend="sim-fused", max_steps=10_000_000)
+                           backend="sim", max_steps=10_000_000)
         assert np.array_equal(result.y, repro.spmm_reference(matrix, x))
 
 
@@ -330,15 +330,14 @@ class TestServiceBackendTraffic:
         service.multiply(handle, x)
         service.multiply(handle, x)
         service.profile(handle, x)                        # counts default
-        service.profile(handle, x, backend="sim-fused")   # explicit
-        service.profile(handle, x, backend="fused")       # alias: same bucket
+        service.profile(handle, x, backend="sim")         # explicit
+        service.profile(handle, x, backend="sim-fused")   # alias: same bucket
         service.profile(handle, x, timing=True)           # legacy boolean
         traffic = service.stats.backend_traffic
-        assert traffic == {"native": 2, "counts": 1, "sim-fused": 2,
-                           "sim": 1}
+        assert traffic == {"native": 2, "counts": 1, "sim": 3}
         report = service.report()
         assert "traffic by backend" in report
-        assert "sim-fused=2" in report
+        assert "sim=3" in report
 
     def test_profile_rejects_counterless_backends(self, twins):
         """profile() promises counters; a backend that produces none
@@ -358,8 +357,8 @@ class TestServiceBackendTraffic:
     def test_constructor_backend_is_the_profile_default(self, twins):
         matrix = twins["uk-2005"]
         x = _dense(matrix)
-        service = SpmmService(threads=2, split="row", backend="sim-fused")
+        service = SpmmService(threads=2, split="row", backend="sim-ref")
         handle = service.register(matrix)
         result = service.profile(handle, x)
-        assert result.backend == "sim-fused"
-        assert service.stats.backend_traffic == {"sim-fused": 1}
+        assert result.backend == "sim-ref"
+        assert service.stats.backend_traffic == {"sim-ref": 1}

@@ -1,15 +1,25 @@
-"""Tests for superblock compilation and the content-keyed closure cache."""
+"""Tests for superblock dispatch and the content-keyed closure cache.
+
+Superblocks are the simulator's only driver, so the oracle is the
+per-access reference engine (``engine="ref"``): its accounting is
+dynamic, nothing in it fuses, and it therefore retires one instruction
+per dispatch.  The default driver must match it on every counter under
+record/replay timing, and on every counter the fidelity models in
+counts mode.
+"""
 
 import gc
 
 import numpy as np
 import pytest
 
-from repro.errors import ExecutionLimitExceeded, MachineError
+from repro.errors import ExecutionLimitExceeded, SegmentationFault
 from repro.isa.assembler import Assembler
 from repro.isa.operands import Imm, Mem
 from repro.isa.registers import regs, zmm
 from repro.machine import Cpu, CpuConfig, Machine, Memory, ThreadSpec
+
+from tests.conftest import DRIVER_CPUS, REF_CPU, comparable
 
 
 def loop_program(data_base: int, out_base: int, count: int):
@@ -64,99 +74,127 @@ class TestBlockDiscovery:
         # epilogue: mov + store + ret terminator
         assert lengths[8] == 3
 
-    def test_timing_cpu_refuses_superblocks(self):
+    def test_ref_engine_exposes_nothing_to_fuse(self):
+        """The oracle needs no special case: dynamic accounting means no
+        static deltas, so its table is all None and every dispatch is a
+        single step."""
         program = loop_program(0x1000, 0x2000, 4)
-        cpu = Cpu(Memory(), CpuConfig(timing=True))
-        with pytest.raises(MachineError, match="counts fidelity"):
-            cpu.superblocks(program)
+        assert Cpu(Memory(), REF_CPU).superblocks(program) == [None] * len(program)
+
+
+def run_cpu(config, program, mem, **kwargs):
+    """One fresh CPU's run of ``program``; returns the CPU and the
+    exception type it died with (None on a clean ``ret``)."""
+    cpu = Cpu(mem, config)
+    try:
+        cpu.run(program, **kwargs)
+    except (ExecutionLimitExceeded, SegmentationFault) as exc:
+        return cpu, type(exc)
+    return cpu, None
 
 
 class TestFusedEquivalence:
+    """Each test runs the oracle once and both superblock fidelities
+    against it (loops, not parametrization: the test ids are pinned)."""
+
     def test_single_cpu_fused_matches_stepped(self):
         mem, db, ob, out, expected = setup_memory()
         program = loop_program(db, ob, 20)
-        stepped = Cpu(mem, CpuConfig(timing=False))
-        counters_stepped = stepped.run(program)
-        first = out[0]
-        out[0] = 0
-        fused_cpu = Cpu(mem, CpuConfig(timing=False))
-        counters_fused = fused_cpu.run(program, fused=True)
-        assert out[0] == first == expected
-        assert counters_stepped.as_dict() == counters_fused.as_dict()
-        assert fused_cpu.gpr == stepped.gpr
+        stepped, _ = run_cpu(REF_CPU, program, mem)
+        assert out[0] == expected
+        for config in DRIVER_CPUS:
+            out[0] = 0
+            fused, _ = run_cpu(config, program, mem)
+            assert any(fused.superblocks(program))
+            assert out[0] == expected
+            assert (comparable(fused.counters, config)
+                    == comparable(stepped.counters, config))
+            assert fused.gpr == stepped.gpr
 
     def test_entry_mid_block_falls_back_to_stepping(self):
-        mem, db, ob, out, _ = setup_memory()
-        program = loop_program(db, ob, 20)
         # entry index 1 is inside the prologue block: no superblock
         # covers it, so execution starts on per-instruction steps (rax
         # is preloaded to compensate for the skipped instruction)
-        cpu = Cpu(mem, CpuConfig(timing=False))
-        cpu.set_gpr("rax", db)
-        cpu.run(program, entry=1, fused=True)
-        assert out[0] == sum(range(1, 21))
+        mem, db, ob, out, expected = setup_memory()
+        program = loop_program(db, ob, 20)
+        stepped, _ = run_cpu(REF_CPU, program, mem, init_gpr={"rax": db}, entry=1)
+        assert out[0] == expected
+        for config in DRIVER_CPUS:
+            out[0] = 0
+            fused, _ = run_cpu(config, program, mem, init_gpr={"rax": db},
+                               entry=1)
+            assert out[0] == expected
+            assert fused.gpr == stepped.gpr
+            assert (comparable(fused.counters, config)
+                    == comparable(stepped.counters, config))
 
     def test_fuel_limit_is_exact_under_fusion(self):
+        mem, db, ob, _, _ = setup_memory(1000)
+        program = loop_program(db, ob, 1000)
+        # the loop's blocks are 2 and 3 instructions long, so most of
+        # these budgets run out mid-block
         for fuel in (1, 2, 3, 7, 10, 50):
-            mem_a = setup_memory(1000)
-            mem_b = setup_memory(1000)
-            prog_a = loop_program(mem_a[1], mem_a[2], 1000)
-            prog_b = loop_program(mem_b[1], mem_b[2], 1000)
-            cpu_a = Cpu(mem_a[0], CpuConfig(timing=False))
-            cpu_b = Cpu(mem_b[0], CpuConfig(timing=False))
-            with pytest.raises(ExecutionLimitExceeded):
-                cpu_a.run(prog_a, fuel=fuel)
-            with pytest.raises(ExecutionLimitExceeded):
-                cpu_b.run(prog_b, fuel=fuel, fused=True)
-            # the raise happens at the same instruction: identical
-            # architectural and counter state either way
-            assert cpu_a.gpr == cpu_b.gpr
-            assert cpu_a.counters.as_dict() == cpu_b.counters.as_dict()
+            stepped, error = run_cpu(REF_CPU, program, mem, fuel=fuel)
+            assert error is ExecutionLimitExceeded
+            assert stepped.executed == fuel + 1
+            for config in DRIVER_CPUS:
+                fused, error = run_cpu(config, program, mem, fuel=fuel)
+                assert error is ExecutionLimitExceeded
+                # the raise happens at the same instruction: identical
+                # architectural and counter state either way
+                assert fused.executed == fuel + 1
+                assert fused.gpr == stepped.gpr
+                assert (comparable(fused.counters, config)
+                        == comparable(stepped.counters, config))
 
-    @pytest.mark.parametrize("quantum", [1, 2, 3, 5, 8, 64])
+    @pytest.mark.parametrize("quantum", [1, 2, 3, 5, 7, 8, 31, 64, 100_000])
     def test_machine_fused_matches_stepped_per_quantum(self, quantum):
-        results = []
-        for fused in (False, True):
-            mem, db, ob, out, expected = setup_memory(50)
+        def run(config):
+            mem, db, ob, out, _ = setup_memory(50)
             program = loop_program(db, ob, 50)
-            machine = Machine(mem, CpuConfig(timing=False), quantum=quantum)
-            merged, per_thread = machine.run(
-                [ThreadSpec(program, name=f"t{i}") for i in range(3)],
-                fused=fused)
-            results.append((int(out[0]), merged.as_dict(),
-                            [c.as_dict() for c in per_thread]))
-        assert results[0] == results[1]
+            merged, per_thread = Machine(mem, config, quantum=quantum).run(
+                [ThreadSpec(program, name=f"t{i}") for i in range(3)])
+            return int(out[0]), merged, per_thread
+
+        out_ref, merged_ref, threads_ref = run(REF_CPU)
+        for config in DRIVER_CPUS:
+            out, merged, threads = run(config)
+            assert out == out_ref
+            assert comparable(merged, config) == comparable(merged_ref,
+                                                            config)
+            assert ([comparable(c, config) for c in threads]
+                    == [comparable(c, config) for c in threads_ref])
 
     def test_faulting_block_matches_stepped_state(self):
         """A body faulting mid-block retires the completed prefix's
         counters: fault-time counter and architectural state are
         bit-identical to per-instruction stepping."""
-        from repro.errors import SegmentationFault
+        mem = Memory()
+        base, _ = mem.map_zeros(8)
+        asm = Assembler("faulty")
+        asm.mov(regs.rax, Imm(base, 64))
+        asm.mov(regs.rbx, 7)
+        asm.mov(Mem(regs.rax, size=8), regs.rbx)       # ok
+        asm.add(regs.rbx, 1)
+        asm.mov(regs.rcx, Imm(0xDEAD0000, 64))
+        asm.mov(Mem(regs.rcx, size=8), regs.rbx)       # faults
+        asm.add(regs.rbx, 100)                          # never runs
+        asm.ret()
+        program = asm.finish()
 
-        def build(base):
-            asm = Assembler("faulty")
-            asm.mov(regs.rax, Imm(base, 64))
-            asm.mov(regs.rbx, 7)
-            asm.mov(Mem(regs.rax, size=8), regs.rbx)       # ok
-            asm.add(regs.rbx, 1)
-            asm.mov(regs.rcx, Imm(0xDEAD0000, 64))
-            asm.mov(Mem(regs.rcx, size=8), regs.rbx)       # faults
-            asm.add(regs.rbx, 100)                          # never runs
-            asm.ret()
-            return asm.finish()
-
-        states = []
-        for fused in (False, True):
-            mem = Memory()
-            base, _ = mem.map_zeros(8)
-            cpu = Cpu(mem, CpuConfig(timing=False))
-            with pytest.raises(SegmentationFault):
-                cpu.run(build(base), fused=fused)
-            states.append((cpu.gpr[:], cpu.counters.as_dict(),
-                           mem.read_int(base, 8)))
-        assert states[0] == states[1]
+        stepped, error = run_cpu(REF_CPU, program, mem)
+        assert error is SegmentationFault
         # five instructions retired before the fault
-        assert states[0][1]["instructions"] == 5
+        assert stepped.counters.instructions == 5
+        assert mem.read_int(base, 8) == 7
+        for config in DRIVER_CPUS:
+            mem.write_int(base, 8, 0)
+            fused, error = run_cpu(config, program, mem)
+            assert error is SegmentationFault
+            assert mem.read_int(base, 8) == 7
+            assert fused.gpr == stepped.gpr
+            assert (comparable(fused.counters, config)
+                    == comparable(stepped.counters, config))
 
     def test_vector_blocks_fuse(self):
         """A block containing SIMD bodies fuses and counts flops
@@ -166,29 +204,26 @@ class TestFusedEquivalence:
         out = np.zeros(16, dtype=np.float32)
         db = mem.map_array(data)
         ob = mem.map_array(out)
+        asm = Assembler("vec")
+        asm.mov(regs.rax, Imm(db, 64))
+        asm.vmovups(zmm(0), Mem(regs.rax, size=64))
+        asm.vmovups(zmm(1), Mem(regs.rax, disp=64, size=64))
+        asm.vfmadd231ps(zmm(2), zmm(0), zmm(1))
+        asm.mov(regs.rbx, Imm(ob, 64))
+        asm.vmovups(Mem(regs.rbx, size=64), zmm(2))
+        asm.ret()
+        program = asm.finish()
 
-        def build():
-            asm = Assembler("vec")
-            asm.mov(regs.rax, Imm(db, 64))
-            asm.vmovups(zmm(0), Mem(regs.rax, size=64))
-            asm.vmovups(zmm(1), Mem(regs.rax, disp=64, size=64))
-            asm.vfmadd231ps(zmm(2), zmm(0), zmm(1))
-            asm.mov(regs.rbx, Imm(ob, 64))
-            asm.vmovups(Mem(regs.rbx, size=64), zmm(2))
-            asm.ret()
-            return asm.finish()
-
-        outputs, counter_dicts = [], []
-        for fused in (False, True):
+        stepped, _ = run_cpu(REF_CPU, program, mem)
+        expected = out.copy()
+        assert stepped.counters.flop == 32
+        assert stepped.counters.simd_instructions == 4
+        for config in DRIVER_CPUS:
             out[:] = 0.0
-            cpu = Cpu(mem, CpuConfig(timing=False))
-            counters = cpu.run(build(), fused=fused)
-            outputs.append(out.copy())
-            counter_dicts.append(counters.as_dict())
-        assert np.array_equal(outputs[0], outputs[1])
-        assert counter_dicts[0] == counter_dicts[1]
-        assert counter_dicts[0]["flop"] == 32
-        assert counter_dicts[0]["simd_instructions"] == 4
+            fused, _ = run_cpu(config, program, mem)
+            assert np.array_equal(out, expected)
+            assert (comparable(fused.counters, config)
+                    == comparable(stepped.counters, config))
 
 
 class TestCompiledCacheKeying:

@@ -172,7 +172,7 @@ def _loop_program(data_base, out_base, n, fault_addr=None):
     return asm.finish()
 
 
-def _run_machine(engine, fused, quantum=64, threads=2, fault=False,
+def _run_machine(engine, quantum=64, threads=2, fault=False,
                  spec=None):
     mem = Memory()
     data = np.arange(128, dtype=np.int64)
@@ -190,7 +190,7 @@ def _run_machine(engine, fused, quantum=64, threads=2, fault=False,
     error = None
     merged = per_thread = None
     try:
-        merged, per_thread = machine.run(specs, fused=fused)
+        merged, per_thread = machine.run(specs)
     except SegmentationFault as exc:
         error = str(exc)
     if merged is None:
@@ -204,28 +204,25 @@ class TestMachineReplayConformance:
         """Includes a quantum far beyond the flush-check stride: the
         turn is internally sliced for recorder-memory pressure, which
         must not change any counter."""
-        ref = _run_machine("ref", False, quantum=quantum)
-        for fused in (False, True):
-            got = _run_machine("replay", fused, quantum=quantum)
-            assert got == ref, (quantum, fused)
+        assert (_run_machine("replay", quantum=quantum)
+                == _run_machine("ref", quantum=quantum))
 
     def test_fault_counters_bit_identical(self):
-        ref = _run_machine("ref", False, fault=True)
+        ref = _run_machine("ref", fault=True)
         assert ref[2] is not None  # the reference run faulted
-        for fused in (False, True):
-            assert _run_machine("replay", fused, fault=True) == ref, fused
+        assert _run_machine("replay", fault=True) == ref
 
     @pytest.mark.parametrize("issue_width", [3, 4])
     def test_custom_pipeline_spec(self, issue_width):
         spec = PipelineSpec(issue_width=issue_width,
                             branch_miss_penalty=11.5, dram_service=7.25)
-        ref = _run_machine("ref", False, spec=spec)
-        assert _run_machine("replay", True, spec=spec) == ref
+        ref = _run_machine("ref", spec=spec)
+        assert _run_machine("replay", spec=spec) == ref
 
     def test_gather_partial_fault_bit_identical(self):
         """A gather faulting mid-lane leaves exactly the completed
         lanes' cache events behind, as per-access interpretation does."""
-        def run(engine, fused):
+        def run(engine):
             mem = Memory()
             vals = mem.map_array(np.arange(64, dtype=np.float32), "vals")
             idx = np.array([0, 3, 1 << 26, 2, 5, 7, 9, 11], dtype=np.int32)
@@ -238,36 +235,32 @@ class TestMachineReplayConformance:
             asm.ret()
             cpu = Cpu(mem, CpuConfig(timing=True, engine=engine))
             with pytest.raises(SegmentationFault):
-                cpu.run(asm.finish(), fused=fused)
+                cpu.run(asm.finish())
             return cpu.counters.as_dict()
 
-        ref = run("ref", False)
+        ref = run("ref")
         # the index-vector load plus the two lanes that landed
         assert ref["l1_hits"] + ref["l1_misses"] == 3
-        assert run("replay", False) == ref
-        assert run("replay", True) == ref
+        assert run("replay") == ref
 
     def test_warmup_reset_keeps_caches_and_predictors_warm(self):
-        def run(engine, fused):
+        def run(engine):
             mem = Memory()
             data = mem.map_array(np.arange(64, dtype=np.int64), "d")
             out = mem.map_array(np.zeros(64, dtype=np.int64), "o")
             program = _loop_program(data, out, 48)
             machine = Machine(mem, CpuConfig(timing=True, engine=engine))
-            merged, _ = machine.run([ThreadSpec(program)], fused=fused,
-                                    warmup=True)
+            merged, _ = machine.run([ThreadSpec(program)], warmup=True)
             return merged.as_dict()
 
-        ref = run("ref", False)
-        assert run("replay", False) == ref
-        assert run("replay", True) == ref
+        assert run("replay") == run("ref")
 
     def test_cycles_published_only_on_clean_completion(self):
         """A faulted run leaves cycles at 0 (the reference never reaches
         the end-of-run publication), while events are all retired."""
-        _, _, error = _run_machine("replay", True, fault=True)
+        _, _, error = _run_machine("replay", fault=True)
         assert error is not None
-        merged, _, _ = _run_machine("replay", True, fault=False)
+        merged, _, _ = _run_machine("replay", fault=False)
         assert merged["cycles"] > 0
 
 
@@ -288,7 +281,7 @@ class TestSystemRegistrySweep:
         x = rng.random((matrix.ncols, 16), dtype=np.float32)
         ref = repro.run(matrix, x, system=system, threads=2,
                         backend="sim-ref")
-        for backend in ("sim", "sim-fused"):
+        for backend in ("sim", "sim-fused", "fused"):
             got = repro.run(matrix, x, system=system, threads=2,
                             backend=backend)
             assert np.array_equal(got.y, ref.y), (system, backend)

@@ -10,6 +10,8 @@ from repro.isa.registers import regs
 from repro.machine import CpuConfig, Machine, Memory, ThreadSpec
 from repro.machine.smp import THREAD_OVERHEAD_CYCLES
 
+from tests.conftest import DRIVER_CPUS, REF_CPU, comparable
+
 
 def counting_program(counter_base: int, per_thread: int):
     """Each thread adds 1 to a shared counter ``per_thread`` times via xadd."""
@@ -144,22 +146,21 @@ class TestSchedulingDeterminism:
                 assert snapshot == reference, f"quantum={quantum}"
 
     @pytest.mark.parametrize("quantum", QUANTA)
-    @pytest.mark.parametrize("fused", [False, True])
-    def test_lock_xadd_claims_every_batch_exactly_once(self, quantum,
-                                                       fused):
+    @pytest.mark.parametrize("ref", [False, True])
+    def test_lock_xadd_claims_every_batch_exactly_once(self, quantum, ref):
         """The dynamic-dispatch race: whatever the interleaving (and
-        whether blocks are superblock-fused), every batch is claimed by
-        exactly one thread."""
+        whether turns retire superblocks or the reference engine's
+        single steps), every batch is claimed by exactly one thread."""
         batches, threads = 37, 4
         mem = Memory()
         next_base, _ = mem.map_zeros(8)
         claims = np.zeros(batches, dtype=np.int64)
         claims_base = mem.map_array(claims)
         program = batch_claim_program(next_base, claims_base, batches)
-        machine = Machine(mem, CpuConfig(timing=False), quantum=quantum)
+        machine = Machine(mem, REF_CPU if ref else CpuConfig(timing=False),
+                          quantum=quantum)
         merged, _ = machine.run(
-            [ThreadSpec(program, name=f"w{t}") for t in range(threads)],
-            fused=fused)
+            [ThreadSpec(program, name=f"w{t}") for t in range(threads)])
         assert claims.tolist() == [1] * batches
         # every claim plus every thread's terminating probe is an xadd
         assert merged.atomic_ops == batches + threads
@@ -167,21 +168,21 @@ class TestSchedulingDeterminism:
     def test_fused_reproduces_the_same_race_winners(self):
         """Superblock scheduling preserves the interleaving exactly, so
         the *same* thread wins each batch — not merely some thread."""
-        for quantum in (1, 3, 64):
-            outcomes = []
-            for fused in (False, True):
-                mem = Memory()
-                next_base, _ = mem.map_zeros(8)
-                claims = np.zeros(23, dtype=np.int64)
-                claims_base = mem.map_array(claims)
-                program = batch_claim_program(next_base, claims_base, 23)
-                machine = Machine(mem, CpuConfig(timing=False),
-                                  quantum=quantum)
-                _, per_thread = machine.run(
-                    [ThreadSpec(program, name=f"w{t}") for t in range(4)],
-                    fused=fused)
-                outcomes.append([c.as_dict() for c in per_thread])
-            assert outcomes[0] == outcomes[1], f"quantum={quantum}"
+        def run(config, quantum):
+            mem = Memory()
+            next_base, _ = mem.map_zeros(8)
+            claims = np.zeros(23, dtype=np.int64)
+            claims_base = mem.map_array(claims)
+            program = batch_claim_program(next_base, claims_base, 23)
+            _, per_thread = Machine(mem, config, quantum=quantum).run(
+                [ThreadSpec(program, name=f"w{t}") for t in range(4)])
+            return per_thread
+
+        for quantum in (1, 7, 31, 64, 100_000):
+            stepped = run(REF_CPU, quantum)
+            for config in DRIVER_CPUS:
+                assert ([comparable(c, config) for c in run(config, quantum)]
+                        == [comparable(c, config) for c in stepped]), quantum
 
 
 class TestExecutionLimit:
@@ -214,6 +215,28 @@ class TestExecutionLimit:
         with pytest.raises(ExecutionLimitExceeded, match="spin"):
             machine.run([ThreadSpec(finite, name="finite"),
                          ThreadSpec(spinner, name="spin")])
+
+
+    def test_limit_mid_block_stops_where_the_oracle_stops(self):
+        """``max_steps`` running out inside a block: turns still retire
+        exactly ``quantum`` instructions and the residue is stepped, so
+        the same thread dies with the same shared count behind it."""
+        def run(config, quantum):
+            mem = Memory()
+            base, _ = mem.map_zeros(8)
+            machine = Machine(
+                mem, CpuConfig(timing=config.timing, engine=config.engine,
+                               max_instructions=42), quantum=quantum)
+            with pytest.raises(ExecutionLimitExceeded) as excinfo:
+                machine.run([ThreadSpec(counting_program(base, 1000),
+                                        name=f"t{t}") for t in range(3)])
+            return str(excinfo.value), mem.read_int(base, 8)
+
+        for quantum in (1, 7, 31, 64, 100_000):
+            stepped = run(REF_CPU, quantum)
+            assert "'t0'" in stepped[0] and stepped[1] > 0
+            for config in DRIVER_CPUS:
+                assert run(config, quantum) == stepped, quantum
 
 
 class TestWorkPartitioning:

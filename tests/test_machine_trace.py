@@ -23,7 +23,10 @@ class TestTracer:
     def test_records_every_instruction(self):
         cpu = Cpu(Memory(), CpuConfig(timing=False))
         tracer = Tracer(cpu)
-        tracer.run(loop_program(3))
+        program = loop_program(3)
+        # the untraced driver would retire these as whole blocks
+        assert any(cpu.superblocks(program))
+        tracer.run(program)
         assert len(tracer.entries) == cpu.counters.instructions
         assert tracer.entries[0].text.startswith("mov")
         assert tracer.entries[-1].text == "ret"
@@ -67,3 +70,18 @@ class TestTracer:
         before = cpu.counters.instructions
         cpu.run(program, init_gpr={"rcx": 0})  # untraced rerun
         assert cpu.counters.instructions > before
+
+    def test_tracing_restores_the_compiled_program(self):
+        """The wrapped steps and the empty block table are a loan: the
+        CPU's own entries come back, so the next untraced run neither
+        records nor recompiles."""
+        cpu = Cpu(Memory(), CpuConfig(timing=False))
+        program = loop_program(2)
+        semantics, blocks = cpu.semantics(program), cpu.superblocks(program)
+        tracer = Tracer(cpu)
+        tracer.run(program)
+        assert cpu.semantics(program) is semantics
+        assert cpu.superblocks(program) is blocks
+        recorded = len(tracer.entries)
+        cpu.run(program)
+        assert len(tracer.entries) == recorded

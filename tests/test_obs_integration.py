@@ -276,7 +276,7 @@ class TestUnifiedMetrics:
         clear_flush_stats()
         matrix = random_csr(rng, 20, 20)
         x = rng.random((20, 4)).astype(np.float32)
-        repro.run(matrix, x, backend="sim-fused", threads=2, split="row")
+        repro.run(matrix, x, backend="sim", threads=2, split="row")
         stats = flush_stats()
         assert stats["flushes"] >= 1
         assert stats["replayed_units"] >= 1
