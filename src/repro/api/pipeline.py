@@ -285,8 +285,8 @@ class BoundPlan:
         self.split = split
         self.dynamic = dynamic
         self.partitions = partitions
-        #: row ranges for the numpy fast path (host-side equivalent of
-        #: the simulated threads' ownership)
+        #: row ranges the host fast path checks (host-side equivalent
+        #: of the simulated threads' ownership)
         self.ranges = ranges
         self.choice = choice
         self.name_prefix = name_prefix
@@ -436,6 +436,7 @@ class BoundPlan:
 
     # ------------------------------------------------------------------
     def multiply(self, x) -> np.ndarray:
-        """Fast-path ``Y = A @ x`` over this plan's row ranges (numpy)."""
+        """Fast-path ``Y = A @ x``: one host call, checked against this
+        plan's row ranges."""
         x = check_operands(self.matrix, x)
         return multiply_partitioned(self.matrix, x, self.ranges)

@@ -4,8 +4,8 @@
 thread spawning, execution, result joining — behind two entry points:
 
 * :meth:`JitSpMM.multiply` — compute ``Y = A @ X`` with the ``"native"``
-  execution backend (same partitioning logic, host-speed numpy); use
-  this in applications;
+  execution backend (same partitioning logic, one host-speed C call);
+  use this in applications;
 * :meth:`JitSpMM.profile` — generate the specialized kernel and execute
   it on a simulator backend (``"sim"`` / ``"counts"`` / ``"sim-ref"``
   from the :mod:`repro.exec` registry), returning the perf counters the
@@ -103,52 +103,44 @@ def fast_check_operands(matrix: CsrMatrix, x: np.ndarray) -> np.ndarray:
     return check_operands(matrix, x)
 
 
-# Optional accelerator for the host fast path: scipy's C csr_matmat
+# Optional accelerator for the host fast path: scipy's C csr_matvecs
 # accumulates each output column in float32, in non-zero storage order
 # — the identical operation order (and therefore identical rounding) as
 # the ``np.add.at`` segment reduction in ``spmm_reference`` and as the
 # generated kernels' per-row accumulators, at a fraction of the cost.
 # Conformance is asserted in tests/test_core_engine.py; without scipy
-# the pure-numpy path below serves identically.
+# the pure-numpy oracle serves identically.
 try:
     from scipy import sparse as _scipy_sparse
 except ImportError:  # pragma: no cover - scipy ships with the test env
     _scipy_sparse = None
 
 
-def _range_product(matrix: CsrMatrix, x: np.ndarray,
-                   r0: int, r1: int) -> np.ndarray:
-    """Rows ``[r0, r1)`` of ``A @ X``, bit-identical to the reference."""
-    lo = int(matrix.row_ptr[r0])
-    hi = int(matrix.row_ptr[r1])
-    if _scipy_sparse is not None:
-        sub = _scipy_sparse.csr_matrix(
-            (matrix.vals[lo:hi], matrix.col_indices[lo:hi],
-             matrix.row_ptr[r0:r1 + 1] - lo),
-            shape=(r1 - r0, matrix.ncols), copy=False)
-        return sub @ x
-    sub = CsrMatrix(
-        r1 - r0, matrix.ncols, matrix.row_ptr[r0:r1 + 1] - lo,
-        matrix.col_indices[lo:hi], matrix.vals[lo:hi],
-    )
-    return spmm_reference(sub, x)
-
-
 def multiply_partitioned(matrix: CsrMatrix, x: np.ndarray,
                          ranges: list[tuple[int, int]]) -> np.ndarray:
-    """Host fast path: evaluate each partition's rows independently.
+    """Host fast path: ``A @ X`` over the plan's row ranges, in one call.
 
-    Shared by :meth:`JitSpMM.multiply` and the serving subsystem — the
-    same row ranges the simulated threads would own, evaluated at host
-    speed (scipy's C kernel when available, vectorized numpy
-    otherwise).  Bit-equal to the reference kernel either way.
+    Shared by :meth:`JitSpMM.multiply`, the native executor and the
+    serving subsystem.  Rows are independent and every kernel here
+    accumulates an output element in ascending non-zero order, so the
+    product over contiguous ranges covering ``[0, nrows)`` — the
+    partitioners' contract — *is* the whole product, bit for bit: the
+    ranges are checked, then the matrix's prepared scipy handle
+    (:meth:`CsrMatrix.to_scipy`, built once per matrix) does the work
+    in a single C call (``spmm_reference`` without scipy).
     """
-    y = np.zeros((matrix.nrows, x.shape[1]), dtype=np.float32)
+    end = 0
     for r0, r1 in ranges:
-        if r0 == r1:
-            continue
-        y[r0:r1] = _range_product(matrix, x, r0, r1)
-    return y
+        if r0 != end or r1 < r0:
+            end = -1
+            break
+        end = r1
+    if end != matrix.nrows:
+        raise ShapeError(
+            f"row ranges {list(ranges)} do not tile [0, {matrix.nrows})")
+    if _scipy_sparse is None:
+        return spmm_reference(matrix, x)
+    return matrix.to_scipy() @ x
 
 
 def stack_columns(xs: list[np.ndarray], out: np.ndarray | None = None

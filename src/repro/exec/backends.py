@@ -2,9 +2,10 @@
 
 Four backends cover today's speed/fidelity spectrum:
 
-* :class:`NativeExecutor` (``"native"``) — host-speed numpy over the
-  plan's tuned row ranges; the production answer path.  No simulated
-  machine, no kernel, no counters.
+* :class:`NativeExecutor` (``"native"``) — the host-speed product
+  (one C call on the matrix's prepared scipy handle, checked against
+  the plan's tuned row ranges); the production answer path.  No
+  simulated machine, no kernel, no counters.
 * :class:`CountsExecutor` (``"counts"``) — functional execution of the
   generated kernel with event counters (the pre-exec ``timing=False``).
 * :class:`SimExecutor` (``"sim"``) — cycle-accurate via the
@@ -35,12 +36,13 @@ __all__ = ["CountsExecutor", "NativeExecutor", "SimExecutor",
 
 
 class NativeExecutor(Executor):
-    """Host-speed numpy evaluation over the plan's partitioning.
+    """Host-speed evaluation of the plan's product.
 
-    Evaluates each partition's rows with vectorized numpy — the same
-    row ownership the simulated threads would have, so a bad split
-    configuration fails identically — and writes the product into the
-    plan's live ``Y`` buffer.  Bit-equal to the reference kernel.
+    :func:`~repro.core.engine.multiply_partitioned` checks the plan's
+    row ranges — the ownership the simulated threads would have, so a
+    bad split configuration fails identically — and computes the whole
+    product in one call; it becomes the plan's live ``Y`` buffer.
+    Bit-equal to the reference kernel.
     """
 
     name = "native"
@@ -50,7 +52,10 @@ class NativeExecutor(Executor):
         # host-side buffers only: the simulated address space is never
         # read here, and the lazy-binding plans never map it for us
         y = multiply_partitioned(plan.matrix, plan.x_host, plan.ranges)
-        plan.y_host[:] = y
+        if plan.mapped:
+            plan.y_host[:] = y  # Y is aliased by the mapped segment
+        else:
+            plan.y_host = y
         return RunResult(
             y=plan.y_host,
             counters=Counters(),

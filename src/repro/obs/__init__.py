@@ -34,7 +34,8 @@ Quick use::
     print(obs.prometheus_text())              # every subsystem's stats
 
 ``python -m repro.bench obsoverhead`` measures the cost of all of this
-on the serving hot path (CI gates: tracing off ~0%, tracing on <5%).
+on the serving hot path (CI gates: tracing off ~free, tracing on under
+20 us per request).
 """
 
 from repro.obs.export import (

@@ -22,10 +22,10 @@ hot paths):
   the template tier forever, with the failure's exception type counted
   in :class:`TierStats` (the typed reason a report names).
 
-Both tiers compute bit-identical results: the fast path executes
-``multiply_partitioned`` over the plan's row ranges, which accumulates
-each output element in ascending non-zero order regardless of the
-partitioning, and a promoted plan only changes the partitioning.
+Both tiers compute bit-identical results: the fast path is
+``multiply_partitioned`` — one host product that accumulates each
+output element in ascending non-zero order, checked against the plan's
+row ranges — and a promoted plan only changes the ranges.
 
 The tier state machine per ``(handle, d)`` workspace::
 

@@ -103,3 +103,26 @@ class TestMaterialization:
         b = eager.execute(backend="counts")
         assert np.array_equal(a.y, b.y)
         assert a.counters.as_dict() == b.counters.as_dict()
+
+    @pytest.mark.parametrize("system", ["jit", "aot:gcc"])
+    def test_native_writes_y_once_on_either_side_of_the_mapping(
+            self, problem, system):
+        """Unmapped, the native product *becomes* ``Y`` (no second copy);
+        once the simulated segment aliases ``Y`` it is filled in place,
+        so native and simulated runs keep sharing one buffer."""
+        matrix, x = problem
+        expected = repro.spmm_reference(matrix, x)
+        plan = get_system(system).prepare(
+            ExecutionConfig(threads=2, backend="native")).bind(matrix, x)
+        first = plan.execute(backend="native")
+        assert first.y is plan.y_host and not plan.mapped
+        assert np.array_equal(first.y, expected)
+        simulated = plan.execute(backend="counts")
+        buffer = plan.y_host
+        assert simulated.y is buffer
+        assert np.array_equal(buffer, expected)
+        plan.refresh(x * 2.0)
+        again = plan.execute(backend="native")
+        assert again.y is buffer and plan.y_host is buffer
+        assert np.array_equal(buffer, repro.spmm_reference(matrix, x * 2.0))
+        assert np.array_equal(plan.execute(backend="counts").y, buffer)

@@ -1,5 +1,8 @@
 """Tests for the JitSpMM engine and the runner."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core.engine import JitSpMM, multiply_partitioned
 from repro.core.runner import run_jit
+from repro.core.split import partition
 from repro.errors import ShapeError
 from repro.sparse import CsrMatrix, spmm_reference
 from tests.conftest import random_csr
@@ -271,3 +275,141 @@ class TestRangeProductConformance:
         ranges = partition(matrix, 4, "merge")
         assert np.array_equal(multiply_partitioned(matrix, x, ranges),
                               spmm_reference(matrix, x))
+
+
+KINDS = ("row", "nnz", "merge")
+
+
+def _edge_matrix(kind: str) -> CsrMatrix:
+    dense = {
+        "0xn": np.zeros((0, 5)),
+        "nx0": np.zeros((5, 0)),
+        "empty-rows": np.zeros((6, 4)),
+        "1x1": np.array([[2.5]]),
+        "mixed": np.array([[0.0, 1.5, 0.0, -2.0],
+                           [0.0, 0.0, 0.0, 0.0],
+                           [3.0, 0.0, 1e-3, 0.0],
+                           [0.0, 0.0, 0.0, 0.0],
+                           [-1.0, 4.0, 0.5, 7.0]]),
+    }[kind]
+    return CsrMatrix.from_dense(dense.astype(np.float32), name=kind)
+
+
+def _hostile_operand(rng, n: int, d: int) -> np.ndarray:
+    """Finite noise salted with NaN, +/-Inf, a denormal and -0.0."""
+    x = rng.standard_normal((n, d)).astype(np.float32)
+    flat = x.reshape(-1)
+    salt = np.array([np.nan, np.inf, -np.inf, 1e-42, -0.0],
+                    dtype=np.float32)
+    flat[:salt.size] = salt[:flat.size]
+    rng.shuffle(flat)
+    return x
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return (a.dtype == b.dtype == np.float32 and a.shape == b.shape
+            and np.array_equal(np.ascontiguousarray(a).view(np.uint32),
+                               np.ascontiguousarray(b).view(np.uint32)))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+class TestPreparedHostKernel:
+    # d=1 is pinned on purpose: there scipy runs csr_matvec, a separate
+    # routine from the csr_matvecs every other width takes
+    @pytest.mark.parametrize("split", KINDS)
+    @pytest.mark.parametrize("d", [1, 3, 16, 64])
+    @pytest.mark.parametrize("kind", ["0xn", "nx0", "empty-rows", "1x1",
+                                      "mixed"])
+    def test_bits_match_reference_on_edge_shapes(self, rng, kind, d, split):
+        matrix = _edge_matrix(kind)
+        ranges = partition(matrix, 3, split)
+        for x in (rng.standard_normal((matrix.ncols, d)).astype(np.float32),
+                  _hostile_operand(rng, matrix.ncols, d)):
+            assert _same_bits(multiply_partitioned(matrix, x, ranges),
+                              spmm_reference(matrix, x))
+
+    @pytest.mark.parametrize("d,count", [(1, 2), (1, 7), (3, 5), (16, 4)])
+    def test_stacked_widths_bit_identical_per_request(self, rng, small_csr,
+                                                      d, count):
+        from repro.core.engine import scatter_columns, stack_columns
+        ranges = partition(small_csr, 3, "merge")
+        xs = [_hostile_operand(rng, small_csr.ncols, d)
+              for _ in range(count)]
+        stacked = multiply_partitioned(small_csr, stack_columns(xs), ranges)
+        for x, block in zip(xs, scatter_columns(stacked, count)):
+            assert _same_bits(block,
+                              multiply_partitioned(small_csr, x, ranges))
+            assert _same_bits(block, spmm_reference(small_csr, x))
+
+    def test_one_scipy_handle_per_matrix(self, rng, monkeypatch):
+        sp = pytest.importorskip("scipy.sparse")
+        built = []
+        real = sp.csr_matrix
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sp, "csr_matrix", counting)
+        matrix = random_csr(rng, 30, 20)
+        engine = JitSpMM(split="auto", threads=4)
+        for d in (1, 3, 16, 64):
+            x = rng.random((20, d)).astype(np.float32)
+            for split in KINDS:
+                ranges = partition(matrix, 4, split)
+                for _ in range(3):
+                    multiply_partitioned(matrix, x, ranges)
+            assert _same_bits(engine.multiply(matrix, x),
+                              spmm_reference(matrix, x))
+        assert len(built) == 1
+        assert matrix.to_scipy() is matrix.to_scipy()
+        assert len(built) == 1
+
+    def test_first_use_raced_from_eight_threads(self, rng):
+        matrix = random_csr(rng, 60, 40)
+        x = _hostile_operand(rng, 40, 8)
+        ranges = partition(matrix, 8, "nnz")
+        barrier = threading.Barrier(8)
+        results = [None] * 8
+
+        def worker(index: int) -> None:
+            barrier.wait(timeout=30)
+            results[index] = multiply_partitioned(matrix, x, ranges)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(index,))
+                       for index in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        expected = spmm_reference(matrix, x)
+        assert all(_same_bits(y, expected) for y in results)
+
+    @pytest.mark.parametrize("ranges", [
+        [],                             # covers nothing
+        [(0, 4), (4, 9)],               # stops short
+        [(0, 4), (5, 10)],              # gap
+        [(0, 6), (4, 10)],              # overlap
+        [(4, 10), (0, 4)],              # out of order
+        [(1, 10)],                      # does not start at row 0
+        [(0, 4), (4, 11)],              # runs past the last row
+        [(0, 12), (12, 10)],            # reversed range
+    ])
+    def test_ranges_that_do_not_tile_raise(self, rng, ranges):
+        matrix = random_csr(rng, 10, 6)
+        x = rng.random((6, 2)).astype(np.float32)
+        with pytest.raises(ShapeError):
+            multiply_partitioned(matrix, x, ranges)
+
+    def test_empty_ranges_inside_a_tiling_are_fine(self, rng):
+        matrix = random_csr(rng, 10, 6)
+        x = rng.random((6, 2)).astype(np.float32)
+        ranges = [(0, 0), (0, 7), (7, 7), (7, 10), (10, 10)]
+        assert _same_bits(multiply_partitioned(matrix, x, ranges),
+                          spmm_reference(matrix, x))

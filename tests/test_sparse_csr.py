@@ -1,12 +1,15 @@
 """Unit + property tests for the CSR container."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SparseFormatError
-from repro.sparse import CooMatrix, CsrMatrix
+from repro.sparse import CooMatrix, CsrMatrix, spmm_reference
 
 
 def example_csr() -> CsrMatrix:
@@ -111,6 +114,59 @@ class TestConversions:
         mat = CsrMatrix.from_scipy(ref)
         assert np.allclose(mat.to_dense(), ref.toarray())
         assert np.allclose(mat.to_scipy().toarray(), ref.toarray())
+
+
+class TestIdentity:
+    def test_equal_by_content_not_by_name_or_object(self):
+        a, b = example_csr(), example_csr()
+        renamed = CsrMatrix(a.nrows, a.ncols, a.row_ptr, a.col_indices,
+                            a.vals, name="other")
+        assert a == b and a == renamed
+        assert hash(a) == hash(b) == hash(renamed)
+        assert {a: 1}[renamed] == 1
+        assert len({a, b, renamed}) == 1
+
+    def test_unequal_matrices_compare_false(self):
+        a = example_csr()
+        values = CsrMatrix(a.nrows, a.ncols, a.row_ptr, a.col_indices,
+                           a.vals + 1)
+        wider = CsrMatrix(a.nrows, a.ncols + 1, a.row_ptr, a.col_indices,
+                          a.vals)
+        assert a != values and a != wider and values != wider
+        assert len({a, values, wider}) == 3
+        assert a != "not a matrix" and a != None  # noqa: E711
+
+    @pytest.mark.parametrize("clone", [
+        lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy, copy.copy,
+    ], ids=["pickle", "deepcopy", "copy"])
+    def test_copies_drop_the_scipy_handle_and_multiply_alike(self, clone):
+        pytest.importorskip("scipy.sparse")
+        from repro.core.engine import multiply_partitioned
+        matrix = example_csr()
+        matrix.fingerprint()
+        matrix.to_scipy()           # a matrix that has served traffic
+        twin = clone(matrix)
+        assert "_scipy" in matrix.__dict__
+        assert "_scipy" not in twin.__dict__
+        assert twin.__dict__["_fingerprint"] == matrix.fingerprint()
+        assert twin == matrix and hash(twin) == hash(matrix)
+        assert twin.name == matrix.name
+        x = np.random.default_rng(3).standard_normal(
+            (matrix.ncols, 5)).astype(np.float32)
+        full = [(0, matrix.nrows)]
+        assert np.array_equal(multiply_partitioned(twin, x, full),
+                              multiply_partitioned(matrix, x, full))
+        assert np.array_equal(multiply_partitioned(twin, x, full),
+                              spmm_reference(matrix, x))
+
+    def test_scipy_handle_is_built_once_and_shares_vals(self):
+        pytest.importorskip("scipy.sparse")
+        matrix = example_csr()
+        handle = matrix.to_scipy()
+        assert matrix.to_scipy() is handle
+        assert np.shares_memory(handle.data, matrix.vals)
+        assert handle.indices.dtype == handle.indptr.dtype == np.int32
+        assert handle.shape == matrix.shape
 
 
 @settings(max_examples=50, deadline=None)
