@@ -43,8 +43,7 @@ def main() -> None:
     start_method = ("fork" if "fork" in
                     multiprocessing.get_all_start_methods() else "spawn")
     config = ExecutionConfig(split="auto", backend="native", threads=4,
-                             workers=2, max_batch=8, flush_us=100.0,
-                             max_inflight=64)
+                             workers=2, max_inflight=64)
     gateway = Gateway(config, mp_start=start_method,
                       obs_label="demo-gateway").start()
     host, port = gateway.address

@@ -10,12 +10,12 @@ metric — falls toward zero as traffic accumulates.
 The service is system-agnostic since the `repro.api` redesign: a later
 section serves the same traffic from the MKL-like baseline
 (``system="mkl"``) to compare amortization across systems.  The
-closing sections replay a *concurrent* burst against a coalescing
-service (``max_batch``/``flush_us``): simultaneous requests for one
-matrix execute as a single stacked-operand SpMM with bit-identical
-results, trading a bounded flush window of latency for a multiple of
-the throughput — and then replay it once more with :mod:`repro.obs`
-tracing on, writing ``serving_trace.json`` for https://ui.perfetto.dev.
+closing sections replay a *concurrent* burst: every request runs alone
+on its caller's thread and the host kernel releases the GIL, so
+simultaneous requests for one matrix overlap on as many cores as they
+have callers and none waits on another — and then replay it once more
+with :mod:`repro.obs` tracing on, writing ``serving_trace.json`` for
+https://ui.perfetto.dev.
 
 Run:  python examples/serving_traffic.py
 """
@@ -97,21 +97,21 @@ def main() -> None:
           "compiled once, shared by every handle):")
     print(mkl_service.report())
 
-    # -- batched traffic: concurrent clients, coalesced execution -------
+    # -- a concurrent burst: every request on its caller's thread -------
     print()
-    print("concurrent burst, per-request vs coalesced:")
-    matrix = random_sparse(rng, 300, 300, 0.03, "burst-300")
-    for max_batch, flush_us in ((1, 0.0), (16, 100.0)):
-        burst = SpmmService(threads=8, split="auto", timing=False,
-                            max_batch=max_batch, flush_us=flush_us)
-        handle = burst.register(matrix)
-        x0 = rng.random((300, 8), dtype=np.float32)
-        burst.multiply(handle, x0)          # codegen off the clock
-        clients, requests = 8, 25
+    print("concurrent burst on one warm handle, by client count:")
+    # large enough that the GIL-free kernel, not the Python around it,
+    # is most of a request: that is the part extra callers overlap
+    big = random_sparse(rng, 2000, 2000, 0.02, "burst-2000")
+    burst = SpmmService(threads=8, split="auto", timing=False)
+    handle = burst.register(big)
+    burst.multiply(handle, rng.random((2000, 32), dtype=np.float32))
+    for clients in (1, 2, 8):
+        requests = 200 // clients
         barrier = threading.Barrier(clients + 1)
         # operands come from the main thread: Generator is not
         # thread-safe, so clients only ever read their own array
-        operands = [rng.random((300, 8), dtype=np.float32)
+        operands = [rng.random((2000, 32), dtype=np.float32)
                     for _ in range(clients)]
 
         def client(x):
@@ -119,8 +119,8 @@ def main() -> None:
             for _ in range(requests):
                 burst.multiply(handle, x)
 
-        workers = [threading.Thread(target=client, args=(operands[i],))
-                   for i in range(clients)]
+        workers = [threading.Thread(target=client, args=(x,))
+                   for x in operands]
         for worker in workers:
             worker.start()
         barrier.wait()
@@ -128,10 +128,8 @@ def main() -> None:
         for worker in workers:
             worker.join()
         wall = time.perf_counter() - started
-        stats = burst.stats
-        label = (f"max_batch={max_batch:2d} flush_us={flush_us:5.0f}")
-        print(f"  {label}: {clients * requests / wall:7.0f} req/s "
-              f"(mean batch {stats.mean_batch_size() or 1.0:.2f})")
+        print(f"  {clients} clients: {clients * requests / wall:7.0f} req/s")
+    print(f"  {burst.lock_stats().render()}")
 
     # -- a cold burst: tiered first requests vs inline specialization ---
     # A wave of never-seen matrices arrives while the service is busy.
@@ -172,15 +170,15 @@ def main() -> None:
         cold.close()
 
     # -- the same burst, traced: one Perfetto-loadable artifact ---------
-    # Spans cover the whole lifecycle (serve.multiply roots, the batch
-    # protocol's serve.batch.execute / serve.batch.wait joined by batch
-    # id, autotune/codegen on cold requests); the coalescing service is
-    # reused so the trace shows real leader/follower interleaving.
+    # Spans cover the whole lifecycle (one serve.multiply root per
+    # request, on its caller's thread track; serve.bind, autotune and
+    # serve.codegen under the cold ones), so the trace shows the eight
+    # clients' requests overlapping.
     print()
-    print("tracing one coalesced burst (repro.obs)...")
+    print("tracing one concurrent burst (repro.obs)...")
+    matrix = random_sparse(rng, 300, 300, 0.03, "burst-300")
     obs.enable_tracing()
-    traced = SpmmService(threads=8, split="auto", max_batch=16,
-                         flush_us=100.0)
+    traced = SpmmService(threads=8, split="auto")
     handle = traced.register(matrix, "traced-burst")
     operands = [rng.random((300, 8), dtype=np.float32)
                 for _ in range(8)]
@@ -199,9 +197,10 @@ def main() -> None:
         worker.join()
     path = obs.write_chrome_trace("serving_trace.json")
     spans = obs.get_tracer().spans()
-    executes = [s for s in spans if s.name == "serve.batch.execute"]
-    print(f"  {len(spans)} spans recorded ({len(executes)} coalesced "
-          f"executions); trace written to {path}")
+    multiplies = [s for s in spans if s.name == "serve.multiply"]
+    print(f"  {len(spans)} spans recorded ({len(multiplies)} requests on "
+          f"{len({s.tid for s in multiplies})} threads); trace written "
+          f"to {path}")
     print("  load it at https://ui.perfetto.dev (or chrome://tracing)")
     print("  unified metrics for the burst service:")
     snapshot = obs.get_registry().snapshot()

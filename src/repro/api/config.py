@@ -70,16 +70,6 @@ class ExecutionConfig:
             compatible :class:`repro.serve.ShardedKernelCache`) shared
             across artifacts; ``None`` means no cross-artifact kernel
             reuse.
-        max_batch: Request-coalescing cap for the serving fast path:
-            up to this many concurrent same-kernel ``multiply`` requests
-            execute as one stacked-operand SpMM.  1 (default) disables
-            coalescing — every request executes alone, today's
-            behavior.
-        flush_us: Microseconds a coalescing batch leader lingers for
-            followers before executing, when the batch is not yet full.
-            0 (default) executes immediately — batches then form only
-            from requests that arrive while an earlier batch is in
-            flight (the closed-loop steady state).
         workers: Worker *processes* behind a serving gateway
             (:class:`repro.serve.gateway.Gateway`), each running its own
             :class:`~repro.serve.SpmmService`.  Irrelevant to in-process
@@ -158,8 +148,6 @@ class ExecutionConfig:
     l1: CacheConfig | None = None
     l2: CacheConfig | None = None
     cache: object | None = None
-    max_batch: int = 1
-    flush_us: float = 0.0
     workers: int = 1
     max_inflight: int = 64
     tenant_quota: int | None = None
@@ -199,12 +187,6 @@ class ExecutionConfig:
         if self.batch is not None and self.batch <= 0:
             raise ShapeError(
                 f"batch size must be positive, got {self.batch}")
-        if self.max_batch < 1:
-            raise ShapeError(
-                f"max_batch must be at least 1, got {self.max_batch}")
-        if self.flush_us < 0:
-            raise ShapeError(
-                f"flush_us must be non-negative, got {self.flush_us}")
         if self.workers < 1:
             raise ShapeError(
                 f"workers must be at least 1, got {self.workers}")

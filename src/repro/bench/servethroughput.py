@@ -1,24 +1,17 @@
-"""Serve-throughput experiment: request coalescing vs per-request serving.
+"""Serve-throughput experiment: closed-loop traffic against the service.
 
 The serving subsystem's amortization story (Table IV, live) removes
-codegen from the steady state; this harness measures whether the steady
-state itself is request-overhead-bound.  Closed-loop client threads
-hammer one registered matrix through ``SpmmService.multiply`` and the
-harness reports requests/sec plus p50/p99 latency per (backend,
-``max_batch``) cell:
+codegen from the steady state; this harness measures the steady state
+itself.  Closed-loop client threads hammer one registered matrix
+through ``SpmmService`` and the harness reports requests/sec plus
+p50/p99 latency per backend cell:
 
-* ``native`` / ``max_batch=1`` — the per-request path: one C call on
-  the matrix's prepared scipy handle plus one pass of Python/lock
-  overhead per request;
-* ``native`` / ``max_batch>1`` — the coalescing path: concurrent
-  requests for one kernel identity execute as a single stacked-operand
-  SpMM (bit-identical results).  Since the per-request product became
-  one C call there is little fixed cost left to share, so the cells
-  check that batches really form and that forming them costs no
-  throughput, not that they multiply it;
-* ``counts`` / ``max_batch=1`` — the simulated ``profile`` path as a
-  baseline (coalescing is a multiply-path feature; profiled requests
-  serialize on the workspace's mapped address space).
+* ``native`` — ``multiply``: one C call on the matrix's prepared scipy
+  handle plus one pass of Python/lock overhead per request, each
+  request on its caller's thread;
+* ``counts`` — the simulated ``profile`` path as a reference point
+  (profiled requests serialize on the workspace's mapped address
+  space).
 
 With ``--networked`` (CLI) or ``REPRO_BENCH_SERVE_NETWORKED=1``, the
 harness additionally measures the *networked* path: closed-loop clients
@@ -26,7 +19,7 @@ speaking the real socket protocol against a local
 :class:`~repro.serve.gateway.Gateway`, one cell per worker count in
 ``NETWORKED_WORKER_COUNTS``.  Those cells carry the full wire cost
 (framing, shm copies, pipe round-trips): ``speedup_networked`` reports
-them against the in-process per-request cell (far below 1 — a socket
+them against the in-process ``native`` cell (far below 1 — a socket
 round trip cannot beat one in-process C call), and
 ``scaling_networked`` is 2 workers over 1, which CI gates at >= 1 where
 there are the three cores two workers and a gateway need.
@@ -74,31 +67,12 @@ __all__ = ["ServeThroughputResult", "run_servethroughput"]
 #: dominates a twin-scale SpMM — the regime the fast path targets
 _D = 8
 
-#: measured (backend, max_batch, flush_us) cells; batch 1 is the
-#: baseline the acceptance gates compare against.  Coalesced cells
-#: linger 100us for followers — at closed-loop request rates that fills
-#: the batch
-MODES = (("native", 1, 0.0), ("native", 8, 100.0), ("native", 32, 100.0),
-         ("counts", 1, 0.0))
+#: in-process backend cells
+BACKENDS = ("native", "counts")
 
-#: the coalesced cell the acceptance gates read
-COALESCED = ("native", 32)
-
-#: coalescing must form batches under the closed loop (realised mean
-#: batch above this) ...
-COALESCED_MIN_BATCH = 1.5
-
-#: ... and must never cost throughput (coalesced over per-request req/s)
-COALESCED_MIN_RATIO = 0.9
-
-#: gateway worker counts measured in networked mode; the last one is
-#: the cell the >= 1.5x networked acceptance gate reads
+#: gateway worker counts measured in networked mode; the scaling gate
+#: reads the last over the first
 NETWORKED_WORKER_COUNTS = (1, 2)
-
-#: per-worker coalescing knobs for the networked cells (the gateway's
-#: in-worker executor pipelines dispatches, so batches really form)
-NETWORKED_BATCH = 8
-NETWORKED_FLUSH_US = 100.0
 
 DEFAULT_JSON_PATH = "BENCH_servethroughput.json"
 
@@ -134,36 +108,25 @@ class ServeThroughputResult:
     dataset: str
     clients: int
     requests_per_client: int
-    #: (backend, max_batch) -> row dict (rps, p50_ms, p99_ms, ...);
-    #: networked cells use backend "gateway:<N>w"
-    rows: dict[tuple[str, int], dict]
+    #: backend -> row dict (rps, p50_ms, p99_ms, ...); networked cells
+    #: use backend "gateway:<N>w"
+    rows: dict[str, dict]
     json_path: str
     networked: bool = field(default=False)
     #: cold-start section: mode name -> cell dict, plus the speedups
     coldstart: dict = field(default_factory=dict)
 
-    def rps(self, backend: str, max_batch: int) -> float:
-        return self.rows[(backend, max_batch)]["rps"]
-
-    def speedup_coalesced(self) -> float:
-        """Coalesced requests/sec over per-request requests/sec (CI
-        gates it at >= ``COALESCED_MIN_RATIO``: batching is free)."""
-        return self.rps(*COALESCED) / self.rps("native", 1)
-
-    def coalesced_mean_batch(self) -> float:
-        """Realised mean batch of the coalesced cell (CI gates it at
-        > ``COALESCED_MIN_BATCH``: batches really form)."""
-        return self.rows[COALESCED]["mean_batch"]
+    def rps(self, backend: str) -> float:
+        return self.rows[backend]["rps"]
 
     def speedup_networked(self) -> float | None:
         """Networked requests/sec (socket protocol, most-workers cell)
-        over the single-process in-process per-request baseline:
-        reported, not gated.  None when the networked cells were not
-        measured."""
+        over the in-process ``native`` cell: reported, not gated.  None
+        when the networked cells were not measured."""
         if not self.networked:
             return None
         backend = f"gateway:{NETWORKED_WORKER_COUNTS[-1]}w"
-        return self.rps(backend, NETWORKED_BATCH) / self.rps("native", 1)
+        return self.rps(backend) / self.rps("native")
 
     def scaling_networked(self) -> float | None:
         """Most-workers over fewest-workers networked requests/sec —
@@ -172,8 +135,7 @@ class ServeThroughputResult:
         if not self.networked:
             return None
         few, many = NETWORKED_WORKER_COUNTS[0], NETWORKED_WORKER_COUNTS[-1]
-        return (self.rps(f"gateway:{many}w", NETWORKED_BATCH)
-                / self.rps(f"gateway:{few}w", NETWORKED_BATCH))
+        return self.rps(f"gateway:{many}w") / self.rps(f"gateway:{few}w")
 
     def coldstart_speedup_min(self) -> float:
         """Fastest inline first request over fastest tiered one — the
@@ -193,11 +155,9 @@ class ServeThroughputResult:
             "clients": self.clients,
             "requests_per_client": self.requests_per_client,
             "rows": [
-                {"backend": backend, "max_batch": max_batch, **row}
-                for (backend, max_batch), row in sorted(self.rows.items())
+                {"backend": backend, **row}
+                for backend, row in sorted(self.rows.items())
             ],
-            "speedup_coalesced": self.speedup_coalesced(),
-            "coalesced_mean_batch": self.coalesced_mean_batch(),
             "coldstart": self.coldstart,
         }
         if self.networked:
@@ -206,35 +166,29 @@ class ServeThroughputResult:
         return payload
 
     def render(self) -> str:
-        headers = ["backend", "max_batch", "flush us", "requests", "req/s",
-                   "p50 ms", "p99 ms", "mean batch", "lock waits"]
+        headers = ["backend", "requests", "req/s", "p50 ms", "p99 ms",
+                   "lock waits"]
         table_rows = []
-        for (backend, max_batch), row in sorted(self.rows.items()):
+        for backend, row in sorted(self.rows.items()):
             table_rows.append([
-                backend, max_batch, f"{row['flush_us']:.0f}",
-                row["requests"], f"{row['rps']:.0f}",
+                backend, row["requests"], f"{row['rps']:.0f}",
                 f"{row['p50_ms']:.3f}", f"{row['p99_ms']:.3f}",
-                f"{row['mean_batch']:.2f}", row["lock_waits"],
+                row["lock_waits"],
             ])
         title = (
-            "Serve throughput — closed-loop multiply traffic against "
+            "Serve throughput — closed-loop traffic against "
             f"SpmmService ({self.dataset}, d={_D}, "
             f"{self.config.threads} threads, {self.clients} clients x "
-            f"{self.requests_per_client} requests).\n"
-            "Coalescing executes concurrent same-kernel requests as one "
-            "stacked-operand SpMM (bit-identical results); the gates "
-            f"require a mean batch > {COALESCED_MIN_BATCH} (measured "
-            f"{self.coalesced_mean_batch():.2f}) at >= "
-            f"{COALESCED_MIN_RATIO}x the req/s of max_batch=1 "
-            f"(measured {self.speedup_coalesced():.2f}x).\n"
+            f"{self.requests_per_client} requests; every request runs "
+            "on its caller's thread).\n"
             f"JSON written to {self.json_path}"
         )
         if self.networked:
             title += (
                 "\ngateway:* rows are networked: real socket protocol "
                 "against a local worker-pool gateway, "
-                f"{self.speedup_networked():.2f}x the req/s of in-process "
-                "max_batch=1; the networked gate requires "
+                f"{self.speedup_networked():.2f}x the req/s of the in-process "
+                "native cell; the networked gate requires "
                 f"{NETWORKED_WORKER_COUNTS[-1]} workers >= "
                 f"{NETWORKED_WORKER_COUNTS[0]} where nproc >= 3 "
                 f"(measured {self.scaling_networked():.2f}x)."
@@ -258,15 +212,13 @@ class ServeThroughputResult:
         return "\n".join(lines)
 
 
-def _run_cell(config: BenchConfig, matrix, backend: str, max_batch: int,
-              flush_us: float, clients: int, requests: int) -> dict:
-    """Drive one (backend, max_batch) cell; returns its row dict."""
+def _run_cell(config: BenchConfig, matrix, backend: str, clients: int,
+              requests: int) -> dict:
+    """Drive one in-process backend cell; returns its row dict."""
     service = SpmmService(threads=config.threads, split="auto",
-                          timing=False, max_batch=max_batch,
-                          flush_us=flush_us)
+                          timing=False)
     handle = service.register(matrix, matrix.name or "bench")
-    # per-client operand sets: distinct contents, identical shape, so
-    # every request is coalescible but results are distinguishable
+    # per-client operand sets: distinct contents, identical shape
     rng = np.random.default_rng(config.seed)
     operands = [
         [rng.random((matrix.ncols, _D), dtype=np.float32) for _ in range(4)]
@@ -302,20 +254,12 @@ def _run_cell(config: BenchConfig, matrix, backend: str, max_batch: int,
     wall = time.perf_counter() - started
     flat = np.array([value for client_lat in latencies
                      for value in client_lat])
-    stats = service.handle_stats(handle)
-    sizes = stats.batches
-    batches = sum(sizes.values())
-    served = sum(size * count for size, count in sizes.items())
     return {
-        "flush_us": flush_us,
         "requests": int(flat.size),
         "seconds": wall,
         "rps": flat.size / wall,
         "p50_ms": 1e3 * float(np.percentile(flat, 50)),
         "p99_ms": 1e3 * float(np.percentile(flat, 99)),
-        "mean_batch": served / batches if batches else 1.0,
-        "batch_histogram": {str(size): count
-                            for size, count in sorted(sizes.items())},
         "lock_waits": service.lock_stats().waits,
     }
 
@@ -331,8 +275,7 @@ def _run_networked_cell(config: BenchConfig, matrix, workers: int,
                     else "spawn")
     exec_config = ExecutionConfig(
         split="auto", backend="native", threads=config.threads,
-        workers=workers, max_batch=NETWORKED_BATCH,
-        flush_us=NETWORKED_FLUSH_US, max_inflight=max(64, 4 * clients))
+        workers=workers, max_inflight=max(64, 4 * clients))
     rng = np.random.default_rng(config.seed)
     operands = [
         [rng.random((matrix.ncols, _D), dtype=np.float32) for _ in range(4)]
@@ -369,28 +312,17 @@ def _run_networked_cell(config: BenchConfig, matrix, workers: int,
             for thread in threads:
                 thread.join()
             wall = time.perf_counter() - started
-            sizes: dict[int, int] = {}
-            for _index, _pid, snap in gateway.worker_snapshots():
-                for handle_stats in snap.stats.handles.values():
-                    for size, count in handle_stats.batches.items():
-                        sizes[size] = sizes.get(size, 0) + count
         finally:
             for conn in conns:
                 conn.close()
     flat = np.array([value for client_lat in latencies
                      for value in client_lat])
-    batches = sum(sizes.values())
-    served = sum(size * count for size, count in sizes.items())
     return {
-        "flush_us": NETWORKED_FLUSH_US,
         "requests": int(flat.size),
         "seconds": wall,
         "rps": flat.size / wall,
         "p50_ms": 1e3 * float(np.percentile(flat, 50)),
         "p99_ms": 1e3 * float(np.percentile(flat, 99)),
-        "mean_batch": served / batches if batches else 1.0,
-        "batch_histogram": {str(size): count
-                            for size, count in sorted(sizes.items())},
         "lock_waits": 0,
         "workers": workers,
     }
@@ -528,7 +460,7 @@ def _run_coldstart(config: BenchConfig, base, handles: int,
 
 def run_servethroughput(config: BenchConfig | None = None
                         ) -> ServeThroughputResult:
-    """Measure every (backend, max_batch) cell; write the JSON."""
+    """Measure every cell; write the JSON."""
     config = config or BenchConfig()
     clients = max(2, int(os.environ.get("REPRO_BENCH_SERVE_CLIENTS",
                                         DEFAULT_CLIENTS)))
@@ -539,17 +471,15 @@ def run_servethroughput(config: BenchConfig | None = None
     dataset = config.datasets[0]
     matrix = config.matrix(dataset)
     rows = {}
-    for backend, max_batch, flush_us in MODES:
+    for backend in BACKENDS:
         cell_requests = requests if backend == "native" else max(
             1, requests // 80)
-        rows[(backend, max_batch)] = _run_cell(
-            config, matrix, backend, max_batch, flush_us, clients,
-            cell_requests)
+        rows[backend] = _run_cell(config, matrix, backend, clients,
+                                  cell_requests)
     if networked:
         for workers in NETWORKED_WORKER_COUNTS:
-            rows[(f"gateway:{workers}w", NETWORKED_BATCH)] = (
-                _run_networked_cell(config, matrix, workers, clients,
-                                    requests))
+            rows[f"gateway:{workers}w"] = _run_networked_cell(
+                config, matrix, workers, clients, requests)
     coldstart_handles = max(
         2, int(os.environ.get("REPRO_BENCH_SERVE_COLDSTART",
                               DEFAULT_COLDSTART_HANDLES)))

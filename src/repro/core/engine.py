@@ -58,8 +58,7 @@ from repro.sparse.csr import CsrMatrix
 from repro.sparse.ops import spmm_reference
 
 __all__ = ["JitSpMM", "SPLITS", "SpmmResult", "check_operands",
-           "fast_check_operands", "multiply_partitioned", "scatter_columns",
-           "stack_columns"]
+           "fast_check_operands", "multiply_partitioned"]
 
 SpmmResult = RunResult  # public alias
 
@@ -141,42 +140,6 @@ def multiply_partitioned(matrix: CsrMatrix, x: np.ndarray,
     if _scipy_sparse is None:
         return spmm_reference(matrix, x)
     return matrix.to_scipy() @ x
-
-
-def stack_columns(xs: list[np.ndarray], out: np.ndarray | None = None
-                  ) -> np.ndarray:
-    """Concatenate same-shaped dense operands along the column axis.
-
-    The coalescing gather: ``k`` operands of shape ``(n, d)`` become one
-    ``(n, d*k)`` stacked operand, ready for a single SpMM whose per-
-    column arithmetic — and therefore per-request result — is bit-
-    identical to ``k`` separate multiplies (every kernel in this
-    library accumulates each output column independently, in the same
-    non-zero order regardless of the column count).
-
-    ``out`` reuses a pooled buffer of at least ``n * d * k`` elements
-    (flat or any shape; only its allocation is reused).
-    """
-    n, d = xs[0].shape
-    width = d * len(xs)
-    if out is None:
-        stacked = np.empty((n, width), dtype=np.float32)
-    else:
-        stacked = out.reshape(-1)[:n * width].reshape(n, width)
-    for index, x in enumerate(xs):
-        stacked[:, index * d:(index + 1) * d] = x
-    return stacked
-
-
-def scatter_columns(y: np.ndarray, count: int) -> list[np.ndarray]:
-    """Split a stacked result back into per-request views (zero-copy).
-
-    The inverse of :func:`stack_columns`: each returned array is a view
-    of ``y``'s column block for one request — no result copies on the
-    batched path.
-    """
-    d = y.shape[1] // count
-    return [y[:, index * d:(index + 1) * d] for index in range(count)]
 
 
 class JitSpMM:

@@ -13,11 +13,10 @@ Three pieces:
   per-thread ring buffers.  Off by default: a disabled span costs one
   attribute check and returns a shared no-op, so the instrumented hot
   paths are effectively free until :func:`enable_tracing` is called.
-  Trace ids scope a request's nested spans; the serving batch protocol
-  stamps batch ids across leader and follower spans.
+  Trace ids scope a request's nested spans.
 * **metrics** (:mod:`repro.obs.metrics`) — a registry of counters /
   gauges / histograms plus *collectors* that convert the existing stat
-  surfaces (``ServiceStats``, ``CacheStats``, ``LockStats``, pool,
+  surfaces (``ServiceStats``, ``CacheStats``, ``LockStats``,
   autotune memo, replay-engine flush counters, simulated perf
   counters) into one snapshot-consistent sample set.
 * **export** (:mod:`repro.obs.export`) — Chrome-trace/Perfetto JSON

@@ -5,7 +5,7 @@ The trace format is the Chrome Trace Event JSON that
 https://ui.perfetto.dev (and ``chrome://tracing``) loads directly: one
 complete (``"ph": "X"``) event per :class:`~repro.obs.trace.SpanRecord`
 with microsecond timestamps, per-thread tracks named after the emitting
-threads, and every span attribute (trace id, batch id, flush reason,
+threads, and every span attribute (trace id, handle, cold/warm,
 ...) under ``args`` where the UI's selection panel shows it.
 
 The metrics exporters render a :class:`~repro.obs.metrics

@@ -1,9 +1,8 @@
 """Metrics: counters, gauges, histograms behind one snapshot surface.
 
 Before :mod:`repro.obs`, every subsystem grew its own stat dict —
-``ServiceStats``, ``CacheStats``, ``LockStats``, ``PoolStats``, the
-autotune memo counters — each with its own reader that walked live
-mutable state.  This module unifies them behind one registry with two
+``ServiceStats``, ``CacheStats``, ``LockStats``, the autotune memo
+counters — each with its own reader that walked live mutable state.  This module unifies them behind one registry with two
 feeding modes:
 
 * **instruments** — :class:`Counter` / :class:`Gauge` /
@@ -129,7 +128,7 @@ class Gauge:
 
 
 class Histogram:
-    """A fixed-bucket distribution (latencies, batch sizes).
+    """A fixed-bucket distribution (latencies, sizes).
 
     Buckets are cumulative on export (Prometheus ``le`` convention):
     ``name_bucket{le="0.005"}`` counts observations <= 0.005, the

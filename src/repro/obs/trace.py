@@ -1,10 +1,10 @@
 """Structured tracing: per-thread span ring buffers, trace-id scopes.
 
-The serving subsystem's request lifecycle — admit, resolve, coalesce,
-execute — crosses thread and lock boundaries the aggregate stats cannot
-attribute: a histogram says *some* batch had 7 members, a trace says
-*which* requests waited on *which* leader and for how long.  This
-module is the recording half of :mod:`repro.obs`:
+The serving subsystem's request lifecycle — admit, resolve, execute —
+crosses thread and lock boundaries the aggregate stats cannot
+attribute: a counter says *some* request paid codegen, a trace says
+*which* one, behind *which* lock and for how long.  This module is the
+recording half of :mod:`repro.obs`:
 
 * :func:`span` is a context manager emitting one timed
   :class:`SpanRecord` into the calling thread's ring buffer on exit.
@@ -141,7 +141,7 @@ class _Span:
         self.attrs = attrs
 
     def annotate(self, **attrs) -> "_Span":
-        """Attach attributes discovered mid-span (batch ids, verdicts)."""
+        """Attach attributes discovered mid-span (handle ids, verdicts)."""
         self.attrs.update(attrs)
         return self
 

@@ -11,22 +11,20 @@ request stream.  Components:
   :class:`repro.core.engine.JitSpMM`), and :class:`ShardedKernelCache`,
   the same contract striped over per-shard LRUs with a combined budget;
 * :mod:`repro.serve.service` — :class:`SpmmService`: register a matrix,
-  get a handle, serve ``multiply`` (numpy fast path, optionally
-  coalescing concurrent requests into stacked-operand batches) and
-  ``profile`` (simulated, counter-reporting) requests with one-time
-  autotuning and codegen;
-* :mod:`repro.serve.pool` — :class:`WorkspacePool`, the size-bucketed
-  free-list recycling batch gather buffers;
+  get a handle, serve ``multiply`` (host fast path: one GIL-free
+  kernel call on the caller's thread, so concurrent requests overlap)
+  and ``profile`` (simulated, counter-reporting) requests with
+  one-time autotuning and codegen;
 * :mod:`repro.serve.stats` — per-handle and service-wide request
-  statistics, including the amortized Table-IV ``codegen_overhead``,
-  the coalescing batch-size histogram and lock-contention counters;
+  statistics, including the amortized Table-IV ``codegen_overhead``
+  and lock-contention counters;
 * :mod:`repro.serve.tier` — tiered execution: cold handles serve from
   the address-free template tier (near-instant registration and first
   request) and are promoted to specialized kernels in the background
   once hot (:class:`PromotionExecutor`, :class:`TierStats`).
 
 See :mod:`repro.bench.serving` for the amortization experiment,
-:mod:`repro.bench.servethroughput` for the coalescing throughput
+:mod:`repro.bench.servethroughput` for the serving throughput
 harness, and ``examples/serving_traffic.py`` for a request-replay demo.
 """
 
@@ -39,7 +37,6 @@ from repro.serve.cache import (
     jit_key,
     mkl_key,
 )
-from repro.serve.pool import PoolStats, WorkspacePool
 from repro.serve.service import MatrixHandle, SpmmService
 from repro.serve.stats import (
     HandleStats,
@@ -70,7 +67,6 @@ __all__ = [
     "LockStats",
     "MatrixHandle",
     "PROMOTION_OUTCOMES",
-    "PoolStats",
     "PromotionExecutor",
     "ServiceStats",
     "ShardedKernelCache",
@@ -84,7 +80,6 @@ __all__ = [
     "TierSnapshot",
     "TierStats",
     "TimedLock",
-    "WorkspacePool",
     "aot_key",
     "jit_key",
     "mkl_key",

@@ -26,9 +26,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--split", default="auto")
     parser.add_argument("--backend", default="native")
     parser.add_argument("--system", default="jit")
-    parser.add_argument("--max-batch", type=int, default=8,
-                        help="per-worker request-coalescing cap")
-    parser.add_argument("--flush-us", type=float, default=100.0)
     parser.add_argument("--max-inflight", type=int, default=64)
     parser.add_argument("--tenant-quota", type=int, default=None)
     parser.add_argument("--slot-bytes", type=int, default=1 << 20)
@@ -38,7 +35,6 @@ def main(argv: list[str] | None = None) -> int:
 
     config = ExecutionConfig(
         split=args.split, threads=args.threads, backend=args.backend,
-        max_batch=args.max_batch, flush_us=args.flush_us,
         workers=args.workers, max_inflight=args.max_inflight,
         tenant_quota=args.tenant_quota)
     gateway = Gateway(config, host=args.host, port=args.port,

@@ -7,7 +7,7 @@
   :mod:`repro.serve.gateway.protocol`;
 * a pool of worker *processes*, each running a private
   :class:`~repro.serve.SpmmService` (its own sharded kernel cache and
-  workspace pool — process boundaries are what let GIL-bound serving
+  workspaces — process boundaries are what let GIL-bound serving
   scale across cores);
 * one shared-memory slot ring (:class:`~repro.serve.gateway.shm.ShmRing`)
   that operands and results travel through — the hot path never pickles
@@ -179,7 +179,7 @@ class Gateway:
     Args:
         config: An :class:`~repro.api.ExecutionConfig`; ``workers``,
             ``max_inflight`` and ``tenant_quota`` shape the gateway,
-            the execution knobs (threads/split/isa/backend/coalescing)
+            the execution knobs (threads/split/isa/backend/tiering)
             shape each worker's service.  ``None`` serves the native
             backend with autotuned splits on one worker.
         host / port: Bind address; port 0 (default) picks a free port
@@ -236,8 +236,6 @@ class Gateway:
             "split": config.split,
             "isa": config.isa,
             "backend": config.effective_backend,
-            "max_batch": config.max_batch,
-            "flush_us": config.flush_us,
             "l1": config.l1,
             "l2": config.l2,
             "system": system,

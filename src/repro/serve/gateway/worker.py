@@ -1,10 +1,11 @@
 """Gateway worker: one process, one :class:`SpmmService`, shm operands.
 
 Each worker is a separate interpreter — the whole point of the gateway:
-:class:`~repro.serve.SpmmService` is GIL-bound, so process boundaries
-are what let coalesced serving scale past one core's worth of Python.
+everything around the kernel call in :class:`~repro.serve.SpmmService`
+(admission, stats, pipe and shm traffic) holds the GIL, so process
+boundaries are what let serving scale past one core's worth of Python.
 A worker owns a private service (its own sharded kernel cache and
-workspace pool) and speaks a tiny pickled control protocol with the
+workspaces) and speaks a tiny pickled control protocol with the
 gateway over a :class:`multiprocessing.connection.Connection`:
 
 * ``("reg", msg_id, segment, meta)`` — replicate one registration: the
@@ -28,9 +29,11 @@ gateway over a :class:`multiprocessing.connection.Connection`:
   process; the request paths honor the ``worker.crash`` /
   ``worker.hang`` / ``codegen.raise`` injection sites.
 
-Requests are executed on a small thread pool so concurrent dispatches
-from the gateway coalesce inside the service exactly like in-process
-traffic (``max_batch``/``flush_us`` apply per worker).  Every reply is
+Requests are executed on a small thread pool: each ``multiply`` runs
+start to finish on its executor thread and the host kernel releases the
+GIL, so pipelined dispatches from the gateway overlap their kernels
+inside one worker (nothing batches, nothing waits on a peer) while the
+receive loop keeps draining the pipe.  Every reply is
 ``("ok", msg_id, payload)`` or ``("err", msg_id, name, message)``;
 exceptions never cross the pipe as pickles, only as ``(class name,
 message)`` pairs the gateway re-frames for the client.
@@ -61,9 +64,10 @@ from repro.sparse.csr import CsrMatrix
 
 __all__ = ["WORKER_EXECUTOR_THREADS", "worker_main"]
 
-#: request-execution threads per worker: enough concurrency for the
-#: service's coalescing to form batches from pipelined dispatches,
-#: small enough that a worker never oversubscribes its host share
+#: request-execution threads per worker: enough that pipelined
+#: dispatches overlap their GIL-free kernel calls (and one slow request
+#: never blocks the rest), small enough that a worker never
+#: oversubscribes its host share
 WORKER_EXECUTOR_THREADS = 4
 
 
@@ -166,10 +170,9 @@ def worker_main(index: int, conn, ring_name: str, slot_bytes: int,
                 view = ring.view(slot, 4 * rows * cols)
                 x = np.frombuffer(view, dtype=np.float32).reshape(rows, cols)
                 y = service.multiply(handles[handle], x, deadline=deadline)
-                # the operand has been fully consumed; the result takes
-                # over the slot (y can be a batch-scatter column view —
-                # make it contiguous before the flat byte copy)
-                ring.write(slot, np.ascontiguousarray(y))
+                # the operand has been fully consumed; the result (a
+                # fresh C-contiguous array) takes over the slot
+                ring.write(slot, y)
             # a result that lands past its deadline is discarded — the
             # client gave up on it, and replying "ok" late would let a
             # reply race the caller's timeout handling

@@ -25,19 +25,15 @@ overhead the same way codegen overhead was removed:
   kernel cache is a :class:`~repro.serve.cache.ShardedKernelCache`, so
   register/evict traffic on one matrix never stalls multiply traffic on
   another;
-* **request coalescing** — with ``max_batch > 1``, concurrent
-  ``multiply`` calls for one kernel identity are grouped by a per-
-  workspace batch queue and executed as a single stacked-operand SpMM
-  (operand columns concatenated along ``d``, results scattered back as
-  zero-copy views).  Results are bit-identical to per-request execution
-  — every kernel accumulates each output column independently, in the
-  same non-zero order regardless of the stacked width;
-* **workspace pooling** — the per-``(handle, d)`` workspaces keep their
-  pre-mapped address spaces across requests (PR 4's lazy binding means
-  the fast path never maps at all), and batch gather buffers come from
-  a size-bucketed :class:`~repro.serve.pool.WorkspacePool` free-list,
-  so steady-state requests perform no allocations beyond the result
-  buffer their caller keeps;
+* **every request on its caller's thread** — ``multiply`` is one
+  GIL-free host-kernel call over the workspace's tuned row ranges plus
+  one stats update under the handle's stripe lock; concurrent requests,
+  same ``(handle, d)`` or not, overlap on as many cores as they have
+  callers and none ever sleeps or waits on another request;
+* **persistent workspaces** — the per-``(handle, d)`` workspaces keep
+  their pre-mapped address spaces across requests (lazy binding means
+  the fast path never maps at all), so a steady-state request allocates
+  nothing beyond the result buffer its caller keeps;
 * **tiered execution** (``tier_mode``, :mod:`repro.serve.tier`) — cold
   ``(handle, d)`` workspaces bind the system's cached address-free
   template (no autotune, no codegen: near-instant first request) and
@@ -62,7 +58,7 @@ import itertools
 import threading
 import time
 import weakref
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -75,16 +71,13 @@ from repro.core.engine import (
     check_operands,
     fast_check_operands,
     multiply_partitioned,
-    scatter_columns,
-    stack_columns,
 )
 from repro.core.runner import RunResult
 from repro.errors import DeadlineExceeded, ServiceClosed, ShapeError
 from repro.isa.isainfo import IsaLevel
 from repro.obs.metrics import Sample, get_registry, labels_key
-from repro.obs.trace import current_trace_id, span as _span
+from repro.obs.trace import span as _span
 from repro.serve.cache import CacheStats, KernelCache, ShardedKernelCache
-from repro.serve.pool import PoolStats, WorkspacePool
 from repro.serve.stats import HandleStats, LockStats, ServiceStats, TimedLock
 from repro.serve.tier import (
     PROMOTION_OUTCOMES,
@@ -132,46 +125,9 @@ class MatrixHandle:
                 f"nnz={self.matrix.nnz})")
 
 
-class _BatchSlot:
-    """One coalescible ``multiply`` request waiting in a batch queue."""
-
-    __slots__ = ("x", "t0", "cold", "deadline", "y", "error", "event",
-                 "lead", "batch_id", "leader_trace")
-
-    def __init__(self, x, t0: float, cold: bool,
-                 deadline: float | None = None) -> None:
-        self.x = x
-        self.t0 = t0
-        self.cold = cold
-        self.deadline = deadline  # absolute time.monotonic(), None = none
-        self.y = None
-        self.error = None
-        self.event = None       # created only for followers
-        self.lead = False       # set when promoted to batch leader
-        self.batch_id = None    # stamped by the executing leader
-        self.leader_trace = ""  # the leader's trace id (tracing on)
-
-
-class _BatchQueue:
-    """Per-workspace coalescing state: pending requests + leader flag.
-
-    At most one thread leads at a time; requests arriving while a batch
-    executes queue up and are drained into the next batch.  A finishing
-    leader promotes the oldest waiter to leader rather than serving
-    forever, so leadership (and its latency cost) rotates fairly.
-    """
-
-    __slots__ = ("lock", "pending", "leader")
-
-    def __init__(self) -> None:
-        self.lock = TimedLock()
-        self.pending: deque[_BatchSlot] = deque()
-        self.leader = False
-
-
 @dataclass
 class _Workspace:
-    """Per-(handle, d) state: one bound plan + its locks and queue."""
+    """Per-(handle, d) state: one bound plan + its profile lock."""
 
     #: the pipeline's stage-2 product: tuned split, mapped persistent
     #: address space, partitions, and (once resolved) the kernel
@@ -185,8 +141,6 @@ class _Workspace:
     #: this same (handle, d).  Codegen has its own per-identity lock in
     #: the service.
     lock: threading.Lock = field(default_factory=threading.Lock)
-    #: coalescing queue for the fast path (used when ``max_batch > 1``)
-    queue: _BatchQueue = field(default_factory=_BatchQueue)
     #: serving tier (tier state machine in :mod:`repro.serve.tier`);
     #: ``"inline"`` on an untiered service
     tier: str = TIER_INLINE
@@ -219,14 +173,13 @@ class ServiceSnapshot:
     so the human summary and the machine export can never disagree:
     per-handle stats are copied under their owning stripe locks (no
     torn ``requests`` vs ``exec_seconds`` reads under traffic), and the
-    cache/lock/pool counters are each taken with their native
+    cache/lock counters are each taken with their native
     consistent-snapshot calls.
     """
 
     stats: ServiceStats
     cache: CacheStats
     locks: LockStats
-    pool: PoolStats
     workspaces_live: int
     workspace_cap: int | None
     workspace_evictions: int
@@ -245,7 +198,6 @@ class ServiceSnapshot:
             self.stats.render(self.cache, self.locks),
             f"workspaces: {self.workspaces_live} live (cap {cap}), "
             f"{self.workspace_evictions} evicted",
-            self.pool.render(),
             f"autotune memo: {memo['hits']} hits / {memo['misses']} "
             f"misses ({memo['entries']} entries, process-wide)",
         ]
@@ -289,12 +241,6 @@ class ServiceSnapshot:
             sample("serve_lock_acquisitions_total", self.locks.acquisitions),
             sample("serve_lock_waits_total", self.locks.waits),
             sample("serve_lock_wait_seconds_total", self.locks.wait_seconds),
-            sample("serve_pool_allocations_total", self.pool.allocations),
-            sample("serve_pool_reuses_total", self.pool.reuses),
-            sample("serve_pool_releases_total", self.pool.releases),
-            sample("serve_pool_dropped_total", self.pool.dropped),
-            sample("serve_pool_retained_bytes", self.pool.retained_bytes,
-                   "gauge"),
             sample("serve_workspaces_live", self.workspaces_live, "gauge"),
             sample("serve_workspace_evictions_total",
                    self.workspace_evictions),
@@ -302,9 +248,6 @@ class ServiceSnapshot:
         out.extend(
             sample("serve_backend_requests_total", count, backend=name)
             for name, count in sorted(stats.backend_traffic.items()))
-        out.extend(
-            sample("serve_batches_total", count, size=size)
-            for size, count in sorted(stats.batch_sizes.items()))
         out.extend(
             sample("serve_tier_traffic_total", count, tier=name)
             for name, count in sorted(stats.tier_traffic.items()))
@@ -383,14 +326,11 @@ class SpmmService:
             eviction across stripes (monotonic touch stamps order
             recency globally); the just-touched workspace is never its
             own victim.
-        max_batch: Coalescing cap for ``multiply``: up to this many
-            concurrent same-``(handle, d)`` requests execute as one
-            stacked-operand SpMM (bit-identical results, one pass of
-            per-request overhead).  1 (default) disables coalescing.
-        flush_us: Microseconds a batch leader lingers for followers
-            before executing a non-full batch; 0 (default) executes
-            immediately, so batches form only from requests arriving
-            while an earlier batch is in flight.
+        max_batch / flush_us: Inert.  They sized the request-coalescing
+            protocol this service no longer has (every ``multiply``
+            runs alone on its caller's thread); still accepted, and
+            range-checked as before, only because the frozen
+            ``perfbench/workloads.py`` passes them.  Stored nowhere.
         stripes: Lock stripes for service state, and the shard count of
             the private kernel cache.
         tier_mode: Tiered execution (:mod:`repro.serve.tier`):
@@ -425,9 +365,7 @@ class SpmmService:
     accounting holds — except on a tiered service, where the fast path
     never resolves a kernel at all (the shared template kernel, and a
     promoted workspace's specialized kernel, resolve on first
-    ``profile``/``kernel`` use or at promotion).  Batch gather buffers
-    are recycled through a :class:`~repro.serve.pool.WorkspacePool`
-    (``service.pool``).
+    ``profile``/``kernel`` use or at promotion).
     """
 
     def __init__(
@@ -455,6 +393,12 @@ class SpmmService:
     ) -> None:
         if stripes <= 0:
             raise ShapeError(f"stripes must be positive, got {stripes}")
+        if max_batch < 1:
+            raise ShapeError(
+                f"max_batch must be at least 1, got {max_batch}")
+        if flush_us < 0:
+            raise ShapeError(
+                f"flush_us must be non-negative, got {flush_us}")
         self._private_cache = cache is None
         self.cache = cache if cache is not None else ShardedKernelCache(
             budget_bytes=cache_budget_bytes, shards=stripes)
@@ -463,13 +407,12 @@ class SpmmService:
             raise ShapeError(
                 f"split='auto' autotunes via the JIT cost model; system "
                 f"{system!r} serves fixed splits (row/nnz/merge)")
-        # validation (thread count, split name, backend name, batching
-        # knobs, tiering, ...) happens here, once, for the contract
-        # every entry point shares
+        # validation (thread count, split name, backend name, tiering,
+        # ...) happens here, once, for the contract every entry point
+        # shares
         self._config = ExecutionConfig(
             split=split, threads=threads, isa=isa, timing=timing,
             backend=backend, l1=l1, l2=l2, cache=self.cache,
-            max_batch=max_batch, flush_us=flush_us,
             tier_mode=tier_mode, promote_after=promote_after,
             promotion_workers=promotion_workers, opt_level=opt_level,
             search_budget=search_budget,
@@ -508,10 +451,7 @@ class SpmmService:
         self.l1 = l1
         self.l2 = l2
         self.max_workspaces = max_workspaces
-        self.max_batch = self._config.max_batch
-        self.flush_us = self._config.flush_us
         self.stats = ServiceStats()
-        self.pool = WorkspacePool()
         self._handles: dict[int, MatrixHandle] = {}
         self._next_id = 0
         # service-wide recency clock for cross-stripe LRU eviction
@@ -530,13 +470,10 @@ class SpmmService:
         self._keylock_guard = TimedLock()
         self._keylocks: dict = {}
         self._key_refs: dict = {}
-        self._retired_locks = LockStats()
-        # observability: batch ids are always assigned (error reports
-        # must attribute failures to a batch whether or not tracing is
-        # on); the metrics collector holds only a weak reference, so a
-        # dropped service is pruned from the registry, not pinned by it
+        # observability: the metrics collector holds only a weak
+        # reference, so a dropped service is pruned from the registry,
+        # not pinned by it
         self.obs_label = obs_label or f"spmm{next(_SERVICE_IDS)}"
-        self._batch_ids = itertools.count(1)
         self._closed = False
         self._collector = _service_collector(weakref.ref(self),
                                              self.obs_label)
@@ -617,7 +554,7 @@ class SpmmService:
                            for key in list(stripe.workspaces)
                            if key[0] == handle.handle_id]
             for ws in dropped:
-                self._retire_workspace(ws, drop_kernel=True)
+                self._release_identity(ws.plan.key, drop_kernel=True)
 
     def handle_stats(self, handle: MatrixHandle) -> HandleStats:
         """The request statistics accumulated for ``handle``."""
@@ -639,22 +576,16 @@ class SpmmService:
     # ------------------------------------------------------------------
     # Kernel identity bookkeeping (refcounted across stripes)
     # ------------------------------------------------------------------
-    def _retire_workspace(self, ws: _Workspace, drop_kernel: bool) -> None:
-        """Release one removed workspace's kernel-identity reference.
+    def _release_identity(self, key, drop_kernel: bool = False) -> None:
+        """Drop one reference to a kernel identity.
 
+        Every removed workspace releases its plan's identity here.
         When the last workspace carrying an identity goes, its codegen
         lock is dropped (so heavy shape churn cannot grow ``_keylocks``
-        without bound) and — on unregister of a service-private cache —
-        so is the cached kernel.  Eviction keeps the kernel warm: a
-        re-requested shape pays re-mapping, never re-codegen.
-        """
-        with self._keylock_guard:
-            # keep the contention history of retired queues visible
-            self._retired_locks = self._retired_locks + ws.queue.lock.stats()
-        self._release_identity(ws.plan.key, drop_kernel=drop_kernel)
-
-    def _release_identity(self, key, drop_kernel: bool = False) -> None:
-        """Drop one reference to a kernel identity (see above).
+        without bound) and — ``drop_kernel``: on unregister/close of a
+        service-private cache — so is the cached kernel.  Eviction
+        keeps the kernel warm: a re-requested shape pays re-mapping,
+        never re-codegen.
 
         Promotion releases the swapped-out template identity through
         here too — but the shared template kernel itself is never
@@ -737,7 +668,7 @@ class SpmmService:
                         self._key_refs.get(identity, 0) + 1)
         if ws is built:
             for victim in self._enforce_workspace_cap(protect=ws):
-                self._retire_workspace(victim, drop_kernel=False)
+                self._release_identity(victim.plan.key)
         return ws, ws is built
 
     def _enforce_workspace_cap(self,
@@ -877,10 +808,9 @@ class SpmmService:
         """The tier label of the plan one request executed on.
 
         Derived from the plan object itself — not the workspace's
-        mutable ``tier`` field — so every member of a coalesced batch
-        (which executes exactly one captured plan) is attributed to one
-        tier even when a promotion lands mid-batch.  None on an
-        untiered service (no tier series are emitted, keeping the
+        mutable ``tier`` field — so a request is attributed to the tier
+        it executed on even when a promotion lands mid-request.  None
+        on an untiered service (no tier series are emitted, keeping the
         exported metrics byte-compatible).
         """
         if self._template_artifact is None:
@@ -1089,21 +1019,15 @@ class SpmmService:
         builds the kernel (cold); later requests hit the cache and pay
         execution only.  Well-formed operands (contiguous float32 of
         the registered height) pass a hoisted cheap assert instead of
-        full validation.  With ``max_batch > 1``, concurrent requests
-        for the same (handle, d) coalesce into one stacked-operand
-        SpMM; the returned array is then a zero-copy view of the batch
-        result (bit-identical to a per-request multiply).  A view
-        keeps the whole stacked batch product alive — a caller
-        retaining results long-term should ``.copy()`` them, trading
-        one copy for releasing up to ``max_batch - 1`` neighbors'
-        columns.
+        full validation.  The request executes on the calling thread
+        — concurrent calls overlap in the GIL-free host kernel, none
+        waits on another — and the result is a fresh C-contiguous
+        array the caller owns.
 
         ``deadline`` is an absolute :func:`time.monotonic` budget: the
         request raises :class:`repro.errors.DeadlineExceeded` rather
         than start bind/codegen (or execution, if resolution consumed
-        the budget) past it.  Coalesced batches re-check each member's
-        deadline just before executing; expired members fail without
-        riding the stacked SpMM.
+        the budget) past it.
         """
         x = fast_check_operands(handle.matrix, x)
         d = int(x.shape[1])
@@ -1122,9 +1046,6 @@ class SpmmService:
                 ws, _, _, _, cold, _ = self._resolve(handle, d)
             sp.annotate(cold=cold)
             self._check_deadline(deadline, "execution")
-            if self.max_batch > 1:
-                return self._serve_batched(handle, ws, x, t0, cold,
-                                           deadline)
             # capture the plan once: a promotion landing mid-request
             # swaps ws.plan, and this request must execute — and be
             # attributed to — exactly one tier
@@ -1137,195 +1058,6 @@ class SpmmService:
                     t2 - t0, cold, exec_seconds=t2 - t1, backend="native",
                     tier=self._plan_tier(plan))
         return y
-
-    # -- coalescing -----------------------------------------------------
-    def _serve_batched(self, handle: MatrixHandle, ws: _Workspace,
-                       x: np.ndarray, t0: float, cold: bool,
-                       deadline: float | None = None) -> np.ndarray:
-        """Enqueue one request; lead a batch or wait to be served.
-
-        The first arrival becomes the batch leader; requests landing
-        while it executes queue up and are drained by the next leader
-        (the finishing leader promotes the oldest waiter), so batches
-        form under concurrency without any request waiting behind an
-        unrelated workspace.
-        """
-        queue = ws.queue
-        slot = _BatchSlot(x, t0, cold, deadline)
-        with queue.lock:
-            if queue.leader:
-                slot.event = threading.Event()
-                queue.pending.append(slot)
-            else:
-                queue.leader = True
-                slot.lead = True
-        if not slot.lead:
-            # the queue-wait span is the follower half of the coalescing
-            # protocol's trace: it carries the executing leader's batch
-            # id and trace id, so a Perfetto view of one burst shows the
-            # leader's execute span and every follower's wait span
-            # joined by one batch id
-            with _span("serve.batch.wait", handle=handle.handle_id) as sp:
-                slot.event.wait()
-                if slot.lead:
-                    sp.annotate(promoted=True)
-                else:
-                    sp.annotate(batch_id=slot.batch_id,
-                                leader_trace=slot.leader_trace)
-            if not slot.lead:           # served by some leader's batch
-                if slot.error is not None:
-                    self._raise_batch_error(slot.error)
-                return slot.y
-        return self._lead_batch(handle, ws, slot)
-
-    @staticmethod
-    def _raise_batch_error(error: BaseException) -> None:
-        """Re-raise a batch failure for one member.
-
-        Every member of a failed batch shares one recorded exception;
-        raising that single object from up to ``max_batch`` threads
-        concurrently would interleave their frames on its shared
-        ``__traceback__``.  Each caller therefore raises its own
-        reconstructed instance chained to the original; types that
-        cannot be rebuilt from ``args`` fall back to the shared object.
-        Clones carry the original's ``batch_id`` and ``trace_id``
-        attributes (stamped by :meth:`_execute_batch`), so a follower's
-        exception still names the coalesced execution that failed.
-        """
-        try:
-            clone = type(error)(*error.args)
-        except BaseException:
-            raise error
-        try:
-            clone.batch_id = getattr(error, "batch_id", None)
-            clone.trace_id = getattr(error, "trace_id", "")
-        except Exception:
-            pass
-        raise clone from error
-
-    def _lead_batch(self, handle: MatrixHandle, ws: _Workspace,
-                    slot: _BatchSlot) -> np.ndarray:
-        queue = ws.queue
-        lingered = False
-        if self.flush_us:
-            # linger for followers only while the batch is not full
-            with queue.lock:
-                short = len(queue.pending) < self.max_batch - 1
-            if short:
-                time.sleep(self.flush_us * 1e-6)
-                lingered = True
-        batch = [slot]
-        try:
-            with queue.lock:
-                while queue.pending and len(batch) < self.max_batch:
-                    batch.append(queue.pending.popleft())
-            flush = ("full" if len(batch) >= self.max_batch
-                     else "linger" if lingered else "immediate")
-            self._execute_batch(handle, ws, batch, flush)
-        finally:
-            # hand over leadership before waking this batch: requests
-            # that piled up during execution start immediately
-            with queue.lock:
-                promoted = (queue.pending.popleft() if queue.pending
-                            else None)
-                if promoted is None:
-                    queue.leader = False
-                else:
-                    promoted.lead = True
-            if promoted is not None:
-                promoted.event.set()
-            for member in batch[1:]:
-                member.event.set()
-        if slot.error is not None:
-            self._raise_batch_error(slot.error)
-        return slot.y
-
-    def _execute_batch(self, handle: MatrixHandle, ws: _Workspace,
-                       batch: list[_BatchSlot], flush: str) -> None:
-        """Run one coalesced SpMM over a batch's stacked operands.
-
-        Never raises: a failure is recorded on every member and re-
-        raised by each waiting caller (annotated with this batch's id
-        and the leader's trace id, so a follower's exception names the
-        execution that actually failed).  Per-request results are
-        column-block views of one stacked product, bit-identical to
-        what each request would have computed alone (column-independent
-        accumulation in identical non-zero order, over the identical
-        tuned partitions).
-        """
-        matrix = handle.matrix
-        # one plan for the whole batch, captured before execution: a
-        # promotion hot-swapping ws.plan mid-batch must not split the
-        # batch across tiers — every member executes (and is counted
-        # against) the tier the batch started on
-        plan = ws.plan
-        # stamp every member before executing: followers read these for
-        # their wait spans and error reports, and the ids must be there
-        # even when execution fails on the first instruction
-        batch_id = next(self._batch_ids)
-        leader_trace = current_trace_id()
-        for member in batch:
-            member.batch_id = batch_id
-            member.leader_trace = leader_trace
-        # deadline re-check at the execution edge: a member whose
-        # budget ran out waiting in the queue fails typed here and is
-        # dropped from the stacked operands — the batch effectively
-        # inherits the tightest *live* member deadline, and an expired
-        # one never consumes SpMM work
-        now = time.monotonic()
-        expired = [member for member in batch
-                   if member.deadline is not None and now >= member.deadline]
-        if expired:
-            for member in expired:
-                error = DeadlineExceeded(
-                    "deadline expired in the coalescing queue")
-                error.batch_id = batch_id
-                error.trace_id = leader_trace
-                member.error = error
-            batch = [member for member in batch if member.error is None]
-            if not batch:
-                return
-        gather = None
-        try:
-            with _span("serve.batch.execute", handle=handle.handle_id,
-                       batch_id=batch_id, size=len(batch), flush=flush):
-                t1 = time.perf_counter()
-                if len(batch) == 1:
-                    batch[0].y = multiply_partitioned(
-                        matrix, batch[0].x, plan.ranges)
-                else:
-                    xs = [member.x for member in batch]
-                    n, d = xs[0].shape
-                    gather = self.pool.acquire(n * d * len(xs))
-                    stacked = stack_columns(xs, out=gather)
-                    ys = multiply_partitioned(matrix, stacked,
-                                              plan.ranges)
-                    for member, y in zip(batch,
-                                         scatter_columns(ys, len(batch))):
-                        member.y = y
-                t2 = time.perf_counter()
-        except BaseException as error:  # propagated by every caller
-            try:
-                error.batch_id = batch_id
-                error.trace_id = leader_trace
-            except Exception:
-                pass                    # __slots__ exceptions: ids are
-                                        # still on the members' slots
-            for member in batch:
-                member.error = error
-            return
-        finally:
-            if gather is not None:
-                self.pool.release(gather)
-        share = (t2 - t1) / len(batch)
-        tier = self._plan_tier(plan)
-        with self._stripe(handle.handle_id).lock:
-            stats = self.stats.handle(handle.handle_id, handle.name)
-            stats.record_batch(len(batch))
-            for member in batch:
-                stats.observe(t2 - member.t0, member.cold,
-                              exec_seconds=share, backend="native",
-                              tier=tier)
 
     # ------------------------------------------------------------------
     def profile(self, handle: MatrixHandle, x: np.ndarray,
@@ -1401,16 +1133,16 @@ class SpmmService:
         """Shut the service down cleanly (idempotent).
 
         New requests are refused with
-        :class:`~repro.errors.ServiceClosed`; coalescing batch queues
-        are given up to ``drain_seconds`` to drain their in-flight
-        batches (a request already past admission completes against the
-        references it holds, so nothing hangs even after the drain
-        window); every workspace is retired — releasing its mapped
-        operand copies and, for a service-private cache, its cached
-        kernels — the gather-buffer pool is emptied, and the metrics
-        collector deregisters so the registry stops exporting this
-        service's series.  Accumulated :class:`HandleStats` survive:
-        :meth:`report` still renders the stream history after close.
+        :class:`~repro.errors.ServiceClosed`; a request already past
+        admission completes against the references it holds (no
+        request ever waits on another, so there is nothing to drain
+        but background promotions, which get up to ``drain_seconds``);
+        every workspace is retired — releasing its mapped operand
+        copies and, for a service-private cache, its cached kernels —
+        and the metrics collector deregisters so the registry stops
+        exporting this service's series.  Accumulated
+        :class:`HandleStats` survive: :meth:`report` still renders the
+        stream history after close.
 
         Needed wherever services have a bounded life inside a long
         process — a gateway worker shutting down must not leak its
@@ -1425,33 +1157,16 @@ class SpmmService:
             # commits see _closed and settle stale; joining here means
             # no pool thread touches service state after teardown
             self._promoter.close(timeout=drain_seconds)
-        deadline = time.perf_counter() + drain_seconds
-        while self._queues_busy():
-            if time.perf_counter() >= deadline:
-                break
-            time.sleep(0.0005)
         for stripe in self._stripes:
             with stripe.lock:
                 dropped = list(stripe.workspaces.values())
                 stripe.workspaces.clear()
             for ws in dropped:
-                self._retire_workspace(ws, drop_kernel=True)
+                self._release_identity(ws.plan.key, drop_kernel=True)
         with self._registry_lock:
             self._handles.clear()
-        self.pool.clear()
         self._collector.dead = True
         get_registry().unregister_collector(self._collector)
-
-    def _queues_busy(self) -> bool:
-        """True while any live batch queue has a leader or waiters."""
-        for stripe in self._stripes:
-            with stripe.lock:
-                queues = [ws.queue for ws in stripe.workspaces.values()]
-            for queue in queues:
-                with queue.lock:
-                    if queue.leader or queue.pending:
-                        return True
-        return False
 
     @property
     def closed(self) -> bool:
@@ -1467,19 +1182,13 @@ class SpmmService:
     def lock_stats(self) -> LockStats:
         """Aggregated contention counters over every service lock.
 
-        Covers the registry lock, the kernel-identity guard, every
-        stripe lock and every live batch-queue lock, plus the
-        accumulated history of retired (evicted/unregistered)
-        workspaces' queues.
+        Covers the registry lock, the kernel-identity guard and every
+        stripe lock.
         """
         total = self._registry_lock.stats() + self._keylock_guard.stats()
         for stripe in self._stripes:
             total = total + stripe.lock.stats()
-            with stripe.lock:
-                for ws in stripe.workspaces.values():
-                    total = total + ws.queue.lock.stats()
-        with self._keylock_guard:
-            return total + self._retired_locks
+        return total
 
     def stats_snapshot(self) -> ServiceStats:
         """An independent copy of every handle's stats.
@@ -1512,7 +1221,6 @@ class SpmmService:
             stats=self.stats_snapshot(),
             cache=self.cache.stats(),
             locks=self.lock_stats(),
-            pool=self.pool.stats(),
             workspaces_live=self._live_workspaces(),
             workspace_cap=self.max_workspaces,
             workspace_evictions=self._workspace_evictions,

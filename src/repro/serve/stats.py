@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 
 __all__ = ["HandleStats", "LatencyStat", "LockStats", "ServiceStats",
-           "TimedLock", "render_batch_histogram"]
+           "TimedLock"]
 
 
 @dataclass(frozen=True)
@@ -136,16 +136,9 @@ class HandleStats:
     #: requests per execution backend (``"native"`` for the fast path,
     #: the resolved simulator backend for profiled requests)
     backends: dict[str, int] = field(default_factory=dict)
-    #: coalesced-execution histogram: batch size -> executed batches
-    #: (a per-request execution is a batch of 1)
-    batches: dict[int, int] = field(default_factory=dict)
     #: requests per serving tier (``"template"`` / ``"promoted"`` on a
     #: tiered service; untiered services record no tier traffic)
     tiers: dict[str, int] = field(default_factory=dict)
-
-    def record_batch(self, size: int) -> None:
-        """Record one coalesced execution that served ``size`` requests."""
-        self.batches[size] = self.batches.get(size, 0) + 1
 
     def record_codegen(self, seconds: float) -> None:
         """Record one code-generation run (whether or not it served a
@@ -195,8 +188,7 @@ class HandleStats:
             codegen_seconds=self.codegen_seconds,
             exec_seconds=self.exec_seconds,
             cold=self.cold.snapshot(), warm=self.warm.snapshot(),
-            backends=dict(self.backends), batches=dict(self.batches),
-            tiers=dict(self.tiers),
+            backends=dict(self.backends), tiers=dict(self.tiers),
         )
 
     def codegen_overhead(self) -> float:
@@ -219,8 +211,6 @@ class HandleStats:
             lines.append("  backends " + " ".join(
                 f"{name}={count}"
                 for name, count in sorted(self.backends.items())))
-        if self.batches:
-            lines.append("  batches " + render_batch_histogram(self.batches))
         if self.tiers:
             lines.append("  tiers " + " ".join(
                 f"{name}={count}"
@@ -234,7 +224,7 @@ class ServiceStats:
 
     Aggregate properties snapshot the shared dicts with single C-level
     ``list(...)`` calls before iterating, so a report taken during live
-    traffic (handles registering, new batch sizes appearing) never
+    traffic (handles registering, new backends appearing) never
     observes a dict resizing mid-iteration.
     """
 
@@ -289,22 +279,6 @@ class ServiceStats:
                 traffic[name] = traffic.get(name, 0) + count
         return traffic
 
-    @property
-    def batch_sizes(self) -> dict[int, int]:
-        """Service-wide coalescing histogram: batch size -> batches."""
-        sizes: dict[int, int] = {}
-        for handle in self._snapshot():
-            for size, count in list(handle.batches.items()):
-                sizes[size] = sizes.get(size, 0) + count
-        return sizes
-
-    def mean_batch_size(self) -> float:
-        """Requests served per coalesced execution, on average."""
-        sizes = self.batch_sizes
-        batches = sum(sizes.values())
-        served = sum(size * count for size, count in sizes.items())
-        return served / batches if batches else 0.0
-
     def codegen_overhead(self) -> float:
         """Amortized Table-IV metric across all handles."""
         total = self.codegen_seconds + self.exec_seconds
@@ -327,11 +301,6 @@ class ServiceStats:
             lines.append("traffic by tier: " + ", ".join(
                 f"{name}={count}"
                 for name, count in sorted(tiers.items())))
-        sizes = self.batch_sizes
-        if sizes:
-            lines.append(
-                f"batches: {render_batch_histogram(sizes)} "
-                f"(mean size {self.mean_batch_size():.2f})")
         if lock_stats is not None:
             lines.append(lock_stats.render())
         if cache_stats is not None:
@@ -340,8 +309,3 @@ class ServiceStats:
                      for _, stats in sorted(self.handles.items()))
         return "\n".join(lines)
 
-
-def render_batch_histogram(sizes: dict[int, int]) -> str:
-    """``size x count`` pairs, ascending by batch size."""
-    return " ".join(f"{size}x{count}"
-                    for size, count in sorted(sizes.items()))

@@ -1,5 +1,7 @@
 """Tests for the centralized ExecutionConfig contract."""
 
+import dataclasses
+
 import pytest
 
 from repro.api import ExecutionConfig
@@ -69,30 +71,17 @@ class TestNormalization:
             config.with_overrides(threads=0)
 
 
-class TestBatchingKnobs:
-    def test_defaults_disable_coalescing(self):
-        config = ExecutionConfig()
-        assert config.max_batch == 1
-        assert config.flush_us == 0.0
-
-    def test_accepts_valid_values(self):
-        config = ExecutionConfig(max_batch=32, flush_us=150.0)
-        assert config.max_batch == 32
-        assert config.flush_us == 150.0
-
-    def test_rejects_invalid_values(self):
-        with pytest.raises(ShapeError):
-            ExecutionConfig(max_batch=0)
-        with pytest.raises(ShapeError):
-            ExecutionConfig(max_batch=-3)
-        with pytest.raises(ShapeError):
-            ExecutionConfig(flush_us=-0.5)
-
-    def test_with_overrides_revalidates_batching(self):
-        config = ExecutionConfig()
-        assert config.with_overrides(max_batch=8).max_batch == 8
-        with pytest.raises(ShapeError):
-            config.with_overrides(max_batch=0)
+class TestNoBatchingKnobs:
+    def test_config_has_no_batching_fields(self):
+        # request coalescing is gone: the config carries no knob for it
+        # (SpmmService alone still accepts the two inert keywords)
+        names = {f.name for f in dataclasses.fields(ExecutionConfig)}
+        assert len(names) == 24
+        assert not names & {"max_batch", "flush_us"}
+        with pytest.raises(TypeError):
+            ExecutionConfig(max_batch=8)
+        with pytest.raises(TypeError):
+            ExecutionConfig().with_overrides(flush_us=100.0)
 
 
 class TestGatewayKnobs:

@@ -70,14 +70,12 @@ class TestCli:
         import json
         payload = json.loads(json_path.read_text())
         assert payload["experiment"] == "servethroughput"
-        cells = {(row["backend"], row["max_batch"])
-                 for row in payload["rows"]}
-        assert cells == {("native", 1), ("native", 8), ("native", 32),
-                         ("counts", 1)}
+        assert {row["backend"] for row in payload["rows"]} == {
+            "native", "counts"}
         for row in payload["rows"]:
             assert row["rps"] > 0
             assert row["p99_ms"] >= row["p50_ms"]
-        assert payload["speedup_coalesced"] > 0
+        assert "speedup_coalesced" not in payload
 
     def test_runs_obsoverhead_experiment(self, capsys, monkeypatch,
                                          tmp_path):

@@ -214,40 +214,6 @@ class TestFastCheckOperands:
                               engine.multiply(small_csr, x))
 
 
-class TestColumnStacking:
-    def test_stack_scatter_roundtrip(self, rng):
-        from repro.core.engine import scatter_columns, stack_columns
-        xs = [rng.random((10, 3)).astype(np.float32) for _ in range(4)]
-        stacked = stack_columns(xs)
-        assert stacked.shape == (10, 12)
-        for x, view in zip(xs, scatter_columns(stacked, 4)):
-            assert np.array_equal(view, x)
-            assert view.base is not None        # zero-copy views
-
-    def test_stack_into_pooled_buffer(self, rng):
-        from repro.core.engine import stack_columns
-        xs = [rng.random((6, 2)).astype(np.float32) for _ in range(3)]
-        flat = np.empty(64, dtype=np.float32)
-        stacked = stack_columns(xs, out=flat)
-        assert stacked.base is flat or stacked.base is not None
-        assert np.array_equal(stacked[:, 2:4], xs[1])
-
-    def test_stacked_multiply_bit_identical_per_column_block(self, rng,
-                                                            small_csr):
-        # the coalescing correctness anchor: one stacked product equals
-        # the per-request products bit for bit
-        from repro.core.engine import (
-            multiply_partitioned, scatter_columns, stack_columns)
-        from repro.core.split import partition
-        ranges = partition(small_csr, 3, "nnz")
-        xs = [rng.random((small_csr.ncols, 5)).astype(np.float32)
-              for _ in range(6)]
-        stacked = multiply_partitioned(small_csr, stack_columns(xs), ranges)
-        for x, block in zip(xs, scatter_columns(stacked, 6)):
-            assert np.array_equal(
-                block, multiply_partitioned(small_csr, x, ranges))
-
-
 class TestRangeProductConformance:
     def test_scipy_and_numpy_paths_bit_identical(self, rng, monkeypatch):
         import repro.core.engine as engine_module
@@ -331,12 +297,15 @@ class TestPreparedHostKernel:
     @pytest.mark.parametrize("d,count", [(1, 2), (1, 7), (3, 5), (16, 4)])
     def test_stacked_widths_bit_identical_per_request(self, rng, small_csr,
                                                       d, count):
-        from repro.core.engine import scatter_columns, stack_columns
+        # columns accumulate independently, in the same non-zero order
+        # whatever the operand width: a column block of one wide product
+        # is the narrow product, bit for bit
         ranges = partition(small_csr, 3, "merge")
         xs = [_hostile_operand(rng, small_csr.ncols, d)
               for _ in range(count)]
-        stacked = multiply_partitioned(small_csr, stack_columns(xs), ranges)
-        for x, block in zip(xs, scatter_columns(stacked, count)):
+        stacked = multiply_partitioned(small_csr, np.hstack(xs), ranges)
+        for index, x in enumerate(xs):
+            block = stacked[:, d * index:d * (index + 1)]
             assert _same_bits(block,
                               multiply_partitioned(small_csr, x, ranges))
             assert _same_bits(block, spmm_reference(small_csr, x))

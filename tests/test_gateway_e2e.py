@@ -35,9 +35,8 @@ def _wait_for(predicate, timeout=20.0, message="condition"):
 
 @pytest.fixture(scope="module")
 def gateway2():
-    """One shared 2-worker gateway (autotuned splits, coalescing on)."""
-    config = ExecutionConfig(split="auto", backend="native", workers=2,
-                             max_batch=4, flush_us=50.0)
+    """One shared 2-worker gateway (autotuned splits)."""
+    config = ExecutionConfig(split="auto", backend="native", workers=2)
     with Gateway(config, mp_start="fork", obs_label="gwtest") as gateway:
         yield gateway
 

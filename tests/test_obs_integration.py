@@ -106,12 +106,11 @@ class TestLifecycleSpans:
 
 
 # ----------------------------------------------------------------------
-# The coalescing protocol's trace: one batch id across leader+followers
+# A concurrent burst's trace: one root span and one trace id per request
 # ----------------------------------------------------------------------
-class TestBatchTrace:
-    def test_burst_shares_one_batch_id(self, rng, traced):
-        service = SpmmService(threads=2, split="row", max_batch=8,
-                              flush_us=20000)
+class TestBurstTrace:
+    def test_burst_is_one_root_span_per_request(self, rng, traced):
+        service = SpmmService(threads=2, split="row")
         matrix = random_csr(rng, 25, 25)
         handle = service.register(matrix)
         xs = [rng.random((25, 4)).astype(np.float32) for _ in range(6)]
@@ -119,79 +118,14 @@ class TestBatchTrace:
         traced.clear()
         assert not _storm(service, handle, xs)
         spans = traced.spans()
-        executes = [r for r in spans if r.name == "serve.batch.execute"]
-        waits = [r for r in spans if r.name == "serve.batch.wait"]
-        assert executes
-        # every request is accounted for: leaders execute, followers
-        # wait (promoted waiters lead the next batch)
-        served = sum(r.attrs["size"] for r in executes)
-        assert served == len(xs)
-        assert all(r.attrs["flush"] in ("full", "linger", "immediate")
-                   for r in executes)
-        batch_ids = {r.attrs["batch_id"] for r in executes}
-        assert len(batch_ids) == len(executes)
-        # each non-promoted wait span names the batch that served it
-        # and the leader's trace id — the Perfetto join key
-        for record in waits:
-            if record.attrs.get("promoted"):
-                continue
-            assert record.attrs["batch_id"] in batch_ids
-            leader = next(e for e in executes
-                          if e.attrs["batch_id"] == record.attrs["batch_id"])
-            assert record.attrs["leader_trace"] == leader.trace_id
-        # at least one batch actually coalesced under the long linger
-        assert max(r.attrs["size"] for r in executes) > 1
-
-    def test_batch_ids_assigned_even_with_tracing_off(self, rng,
-                                                      monkeypatch):
-        assert not obs.tracing_enabled()
-        service = SpmmService(threads=2, split="row", max_batch=8,
-                              flush_us=300)
-        matrix = random_csr(rng, 25, 25)
-        handle = service.register(matrix)
-        xs = [rng.random((25, 4)).astype(np.float32) for _ in range(5)]
-        service.multiply(handle, xs[0])
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("injected batch failure")
-
-        import repro.serve.service as service_module
-        monkeypatch.setattr(service_module, "multiply_partitioned", boom)
-        errors = _storm(service, handle, xs)
-        assert len(errors) == len(xs)
-        for error in errors:
-            assert isinstance(error.batch_id, int)
-            assert error.batch_id >= 1
-            assert error.trace_id == ""     # tracing was off
-
-    def test_error_clones_carry_batch_id_and_leader_trace(self, rng,
-                                                          traced,
-                                                          monkeypatch):
-        service = SpmmService(threads=2, split="row", max_batch=8,
-                              flush_us=300)
-        matrix = random_csr(rng, 25, 25)
-        handle = service.register(matrix)
-        xs = [rng.random((25, 4)).astype(np.float32) for _ in range(5)]
-        service.multiply(handle, xs[0])
-
-        def boom(*args, **kwargs):
-            raise RuntimeError("injected batch failure")
-
-        import repro.serve.service as service_module
-        monkeypatch.setattr(service_module, "multiply_partitioned", boom)
-        errors = _storm(service, handle, xs)
-        assert len(errors) == len(xs)
-        for error in errors:
-            assert isinstance(error.batch_id, int)
-            assert error.trace_id != ""
-            if error.__cause__ is not None:     # a clone
-                assert error.batch_id == error.__cause__.batch_id
-        # members of one batch agree on the id
-        by_batch = {}
-        for error in errors:
-            by_batch.setdefault(error.batch_id, []).append(error)
-        for batch_errors in by_batch.values():
-            assert len({e.trace_id for e in batch_errors}) == 1
+        multiplies = [r for r in spans if r.name == "serve.multiply"]
+        assert len(multiplies) == len(xs)
+        # no request rides another's execution: every multiply is its
+        # own trace, recorded on its caller's thread, warm
+        assert len({r.trace_id for r in multiplies}) == len(xs)
+        assert len({r.tid for r in multiplies}) == len(xs)
+        assert all(r.attrs["cold"] is False for r in multiplies)
+        assert not [r for r in spans if r.name.startswith("serve.batch")]
 
 
 # ----------------------------------------------------------------------
@@ -332,8 +266,7 @@ class TestUnifiedMetrics:
 class TestTraceArtifact:
     def test_burst_trace_exports_loadable_json(self, rng, traced,
                                                tmp_path):
-        service = SpmmService(threads=2, split="row", max_batch=4,
-                              flush_us=5000)
+        service = SpmmService(threads=2, split="row")
         matrix = random_csr(rng, 25, 25)
         handle = service.register(matrix)
         xs = [rng.random((25, 4)).astype(np.float32) for _ in range(6)]
@@ -342,8 +275,8 @@ class TestTraceArtifact:
         document = json.loads(open(path).read())
         events = [e for e in document["traceEvents"] if e["ph"] == "X"]
         names = {e["name"] for e in events}
-        assert "serve.batch.execute" in names
         assert "serve.multiply" in names
+        assert "serve.codegen" in names
         # per-thread monotonic timestamps (Perfetto's requirement)
         by_tid = {}
         for event in events:

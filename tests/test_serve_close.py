@@ -1,4 +1,8 @@
-"""Tests for SpmmService lifecycle: close(), draining, deregistration."""
+"""Tests for SpmmService lifecycle: close(), in-flight requests,
+deregistration."""
+
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ import pytest
 from repro.errors import ServiceClosed
 from repro.obs.metrics import get_registry
 from repro.serve import SpmmService
+from repro.sparse import spmm_reference
 from tests.conftest import random_csr
 
 
@@ -38,9 +43,8 @@ class TestClose:
         with pytest.raises(ServiceClosed):
             service.register(random_csr(rng, 10, 10, density=0.3))
 
-    def test_close_retires_workspaces_and_pool(self, rng):
-        service = SpmmService(threads=2, split="row", backend="native",
-                              max_batch=4)
+    def test_close_retires_workspaces(self, rng):
+        service = SpmmService(threads=2, split="row", backend="native")
         matrix = random_csr(rng, 24, 20, density=0.3)
         handle = service.register(matrix)
         for d in (2, 4, 8):
@@ -49,7 +53,8 @@ class TestClose:
         assert service._live_workspaces() > 0
         service.close()
         assert service._live_workspaces() == 0
-        assert service.pool.retained_bytes == 0
+        assert service._key_refs == {}
+        assert service._keylocks == {}
 
     def test_close_deregisters_metrics_collector(self, rng):
         service = SpmmService(threads=2, split="row", backend="native",
@@ -67,37 +72,52 @@ class TestClose:
         assert not service_samples(), (
             "closed service must not linger in the metrics registry")
 
-    def test_close_drains_cleanly_under_traffic(self, rng):
-        import threading
-
-        service = SpmmService(threads=2, split="row", backend="native",
-                              max_batch=4, flush_us=200.0)
+    def test_close_races_multiplying_threads(self, rng):
+        # a request already past admission completes against the
+        # references it holds (bit-equal to the reference); a later one
+        # raises the typed ServiceClosed; nothing hangs, nothing else
+        # escapes
+        service = SpmmService(threads=2, split="row", backend="native")
         matrix = random_csr(rng, 30, 24, density=0.3)
         handle = service.register(matrix)
-        x = np.ones((24, 4), dtype=np.float32)
-        service.multiply(handle, x)             # warm
-        stop = threading.Event()
+        xs = [rng.random((24, 4)).astype(np.float32) for _ in range(8)]
+        refs = [spmm_reference(matrix, x) for x in xs]
+        service.multiply(handle, xs[0])         # warm
+        barrier = threading.Barrier(len(xs) + 1)
+        served = [0] * len(xs)
+        closed = [False] * len(xs)
         errors = []
 
-        def traffic():
-            while not stop.is_set():
+        def traffic(index):
+            barrier.wait()
+            while True:
                 try:
-                    service.multiply(handle, x)
+                    y = service.multiply(handle, xs[index])
                 except ServiceClosed:
+                    closed[index] = True
                     return
                 except BaseException as error:  # noqa: BLE001 - asserted
                     errors.append(error)
                     return
+                if not np.array_equal(y, refs[index]):
+                    errors.append(AssertionError(f"mismatch {index}"))
+                    return
+                served[index] += 1
 
-        threads = [threading.Thread(target=traffic) for _ in range(3)]
+        threads = [threading.Thread(target=traffic, args=(index,))
+                   for index in range(len(xs))]
         for thread in threads:
             thread.start()
-        service.close(drain_seconds=10.0)
-        stop.set()
+        barrier.wait()
+        while sum(served) < 200 and not errors:  # close lands mid-storm
+            time.sleep(0.001)
+        service.close()
         for thread in threads:
             thread.join(timeout=30)
             assert not thread.is_alive(), "traffic thread hung past close"
         assert not errors, errors
+        assert all(closed)
+        assert service._live_workspaces() == 0
 
 
 class TestSnapshotWorkerLabels:

@@ -369,22 +369,6 @@ class TestStats:
 
 
 class TestThroughputStats:
-    def test_batch_histogram_and_mean(self):
-        stats = HandleStats(name="h")
-        stats.record_batch(1)
-        stats.record_batch(4)
-        stats.record_batch(4)
-        assert stats.batches == {1: 1, 4: 2}
-        service_stats = ServiceStats(handles={0: stats})
-        assert service_stats.batch_sizes == {1: 1, 4: 2}
-        assert service_stats.mean_batch_size() == pytest.approx(3.0)
-        assert "batches" in service_stats.render()
-        assert "1x1 4x2" in stats.render()
-
-    def test_mean_batch_size_empty(self):
-        assert ServiceStats().mean_batch_size() == 0.0
-        assert ServiceStats().batch_sizes == {}
-
     def test_timed_lock_counts_contention(self):
         import time
         from repro.serve import TimedLock
@@ -423,7 +407,6 @@ class TestThroughputStats:
         service.multiply(handle, rng.random((30, 8)).astype(np.float32))
         report = service.report()
         assert "lock contention" in report
-        assert "workspace pool" in report
         assert "autotune memo" in report
 
     def test_service_lock_stats_aggregate(self, rng, service):

@@ -11,7 +11,6 @@ kernel-identity state drains to empty once every handle is gone.
 import threading
 
 import numpy as np
-import pytest
 
 from repro.errors import ShapeError
 from repro.serve import ShardedKernelCache, SpmmService
@@ -19,12 +18,11 @@ from repro.sparse import spmm_reference
 from tests.conftest import random_csr
 
 
-@pytest.mark.parametrize("max_batch", [1, 4])
-def test_concurrent_register_unregister_multiply(rng, max_batch):
+def test_concurrent_register_unregister_multiply(rng):
     # a sharded cache so small that every width insert evicts another
     # identity: multiplies race evictions constantly
     service = SpmmService(
-        threads=2, split="row", max_batch=max_batch, flush_us=100,
+        threads=2, split="row",
         cache=ShardedKernelCache(budget_bytes=512, shards=2),
     )
     matrices = [random_csr(rng, 20 + 4 * index, 24, density=0.3,
@@ -188,8 +186,7 @@ def test_report_is_consistent_during_multiply_storm(rng):
     soon as requests are — held only probabilistically before the
     snapshot rework (field-by-field reads of live mutable stats).
     """
-    service = SpmmService(threads=2, split="row", max_batch=4,
-                          flush_us=50)
+    service = SpmmService(threads=2, split="row")
     matrix = random_csr(rng, 30, 30, name="storm")
     handle = service.register(matrix)
     xs = [rng.random((30, 4)).astype(np.float32) for _ in range(4)]
@@ -329,18 +326,18 @@ def test_promotion_races_eviction_under_byte_pressure(rng):
     service.close()
 
 
-def test_promotion_lands_mid_coalesced_batch(rng):
-    # coalescing holds batches open for a long flush window while the
-    # promotion executor hot-swaps the plan: each batch executes one
-    # captured plan (never split across tiers) and stays bit-exact
+def test_promotion_lands_mid_concurrent_storm(rng):
+    # four threads multiply one (handle, d) while the promotion executor
+    # hot-swaps the plan: each request executes one captured plan (and
+    # is attributed to that plan's tier) and stays bit-exact
     service = SpmmService(threads=2, split="row", tier_mode="lazy",
-                          promote_after=12, max_batch=8, flush_us=2000)
-    matrix = random_csr(rng, 30, 30, density=0.3, name="midbatch")
+                          promote_after=12)
+    matrix = random_csr(rng, 30, 30, density=0.3, name="midstorm")
     handle = service.register(matrix)
     operands = [rng.random((30, 8)).astype(np.float32) for _ in range(4)]
     expected = [spmm_reference(matrix, x) for x in operands]
     # below the threshold: guaranteed template-tier traffic before the
-    # concurrent storm crosses it mid-batch
+    # concurrent storm crosses it
     for _ in range(5):
         assert np.array_equal(service.multiply(handle, operands[0]),
                               expected[0])
@@ -363,7 +360,7 @@ def test_promotion_lands_mid_coalesced_batch(rng):
     while (service.tier_state(handle, 8) != "promoted"
            and time.monotonic() < deadline):
         time.sleep(0.01)
-    time.sleep(0.2)                 # promoted tier serves real batches
+    time.sleep(0.2)                 # promoted tier serves real traffic
     stop.set()
     for thread in threads:
         thread.join()
@@ -372,8 +369,8 @@ def test_promotion_lands_mid_coalesced_batch(rng):
     stats = service.handle_stats(handle)
     assert stats.tiers.get("template", 0) > 0
     assert stats.tiers.get("promoted", 0) > 0
-    # batches really coalesced around the swap
-    assert any(size > 1 for size in stats.batches)
+    # every request was attributed to exactly one tier
+    assert sum(stats.tiers.values()) == stats.requests
     service.unregister(handle)
     assert service._key_refs == {}
     assert service._keylocks == {}
