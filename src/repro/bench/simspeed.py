@@ -1,7 +1,7 @@
 """Simspeed: simulated instructions/sec per execution backend.
 
 The tentpole claim of the simulator stack is that specialization beats
-interpretation twice over: superblock-compiled execution plus the
+interpretation twice over: generated-block execution plus the
 record/replay timing engine (``"sim"``) retires the Fig-9
 workloads' instruction streams — *with* cycle-accurate timing — several
 times faster than the per-access reference path (``"sim-ref"``, the
@@ -119,9 +119,9 @@ class SimspeedResult:
         title = (
             "Simspeed — simulated instructions/sec per execution backend "
             f"(jit, row split, d={_D}, {self.config.threads} threads).\n"
-            "sim runs superblocks under the record/replay timing engine: "
-            "bit-identical counters\n"
-            "— cycles included — to the per-access sim-ref path.\n"
+            "sim runs generated blocks under the record/replay timing "
+            "engine: bit-identical\n"
+            "counters — cycles included — to the per-access sim-ref path.\n"
             f"JSON written to {self.json_path}"
         )
         return render_table(headers, table_rows, title)

@@ -9,8 +9,8 @@ Four backends cover today's speed/fidelity spectrum:
 * :class:`CountsExecutor` (``"counts"``) — functional execution of the
   generated kernel with event counters (the pre-exec ``timing=False``).
 * :class:`SimExecutor` (``"sim"``) — cycle-accurate via the
-  record/replay timing engine (:mod:`repro.machine.replay`): superblock
-  execution (:mod:`repro.machine.fused`) records a columnar trace, the
+  record/replay timing engine (:mod:`repro.machine.replay`): generated
+  blocks (:mod:`repro.machine.fused`) record a columnar trace, the
   vectorized cache / predictor / scoreboard models replay it in batch.
   Bit-identical counters (cycles included) to ``sim-ref`` at several
   times its simulated instructions/sec.  ``"sim-fused"`` and
@@ -109,8 +109,8 @@ class CountsExecutor(MachineExecutor):
 
 class SimExecutor(MachineExecutor):
     """Cycle-accurate simulation through the record/replay timing
-    engine: superblock execution, trace-replayed caches / predictors /
-    scoreboard.  Bit-identical counters to ``sim-ref``."""
+    engine: generated-block execution, trace-replayed caches /
+    predictors / scoreboard.  Bit-identical counters to ``sim-ref``."""
 
     name = "sim"
     provides_cycles = True

@@ -77,7 +77,7 @@ class Program:
         A leader is the entry point, any label (every branch target is a
         label in this ISA), or the instruction following a branch/`ret`.
         The straight-line run from one leader to the next is a basic
-        block — the unit the superblock-compiled simulator fuses.
+        block — the unit the simulator compiles into one function.
         """
         leaders = {0}
         for index, insn in enumerate(self.instructions):

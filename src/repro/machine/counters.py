@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-__all__ = ["Counters", "make_bump"]
+__all__ = ["Counters"]
 
 
 @dataclass
@@ -75,35 +75,3 @@ class Counters:
             f"cycles={self.cycles:,.0f}",
         ]
         return "Counters(" + " ".join(parts) + ")"
-
-
-#: compiled bump factories, keyed by the tuple of counter names they
-#: increment — a handful of distinct patterns cover every instruction
-#: and superblock shape, so the ``exec`` cost is paid once per pattern
-_BUMP_BUILDERS: dict[tuple[str, ...], object] = {}
-
-
-def make_bump(counters: Counters, deltas: dict[str, int]):
-    """Compile ``deltas`` into one closure bumping ``counters``.
-
-    The same specialize-and-compile trick the paper applies to SpMM,
-    applied to event accounting: instead of interpreting a delta dict
-    per retired instruction (or superblock), a straight-line function
-    incrementing exactly the non-zero fields is generated and compiled
-    once per delta *pattern*, then instantiated per call site with the
-    amounts bound as locals.
-    """
-    items = tuple((name, amount) for name, amount in deltas.items() if amount)
-    names = tuple(name for name, _ in items)
-    builder = _BUMP_BUILDERS.get(names)
-    if builder is None:
-        args = ", ".join(f"d{i}" for i in range(len(names)))
-        lines = "\n".join(f"        c.{name} += d{i}"
-                          for i, name in enumerate(names)) or "        pass"
-        source = (f"def _make(c{', ' if args else ''}{args}):\n"
-                  f"    def bump():\n{lines}\n"
-                  f"    return bump\n")
-        namespace: dict = {}
-        exec(source, namespace)  # generated from trusted field names
-        builder = _BUMP_BUILDERS[names] = namespace["_make"]
-    return builder(counters, *(amount for _, amount in items))

@@ -1,23 +1,39 @@
 """Single-thread functional interpreter for the ISA subset.
 
-The interpreter pre-compiles every static instruction into Python
-closures (operand decoding, effective-address formation and segment
-lookup are hoisted out of the execution loop) — the same just-in-time
-trick the paper applies to SpMM, applied to the simulator itself.
+Every static instruction is decoded once, ahead of the execution loop —
+the same just-in-time trick the paper applies to SpMM, applied to the
+simulator itself — into two forms that sit side by side in each
+``_compile_*`` method:
 
-Compilation is split from the run loop: :meth:`Cpu.semantics` compiles a
-:class:`Program` into a :class:`ProgramSemantics` table holding, per
-instruction, a *body* closure (pure architectural semantics, no event
-accounting), the static counter *deltas* the instruction retires with,
-and a composed *step* closure (body + accounting, returning the next
-pc).  :meth:`Cpu.superblocks` fuses each basic block's bodies into a
-single closure with the counter bumps summed and hoisted
-(:mod:`repro.machine.fused`), and the one dispatch loop
-(:meth:`Cpu.run_quantum`, shared by :meth:`Cpu.run` and the SMP
+* a hand-written *closure* (``body()``: operands, effective-address
+  formation and segment lookup captured as cells): what the reference
+  engine (``sim-ref``) executes, with cache / pipeline accounting
+  composed around it, and what a form without an emitter contributes to
+  the fast engines;
+* a source *emitter* (``emit(code)``, run only for the fast engines):
+  the same semantics as a :class:`~repro.machine.fused.Code` fragment —
+  register codes, scales, displacements and immediates as literals, the
+  effective address formed once, scalar SSE arithmetic on float32
+  scalars, vector arithmetic on register views hoisted out of the loop
+  — which :mod:`repro.machine.fused` assembles into one generated
+  function per basic block.  The hot forms have one
+  (``mov``, ALU reg/imm, ``imul``, ``cmp`` / ``test``, ``inc`` / ``dec``
+  / ``neg``, shifts, ``vmov*`` load/store, ``vbroadcastss`` from memory,
+  ``vfmadd231ps/ss``, reg-reg ``vaddps``-family, the ``vxorps`` zero
+  idiom); the rest are called through their closure inside the block.
+
+:meth:`Cpu.semantics` compiles a :class:`Program` into a
+:class:`ProgramSemantics` table holding, per instruction, the fragment,
+the static counter *deltas* the instruction retires with, and a *step*
+returning the next pc — for the ``counts`` / ``sim`` engines the
+fragment compiled as a block of one, so blocks and steps share one
+definition per form; for the reference engine closure plus accounting.
+:meth:`Cpu.superblocks` builds the block table, and the one dispatch
+loop (:meth:`Cpu.run_quantum`, shared by :meth:`Cpu.run` and the SMP
 scheduler) retires whole blocks while they fit the turn and single
 steps otherwise: at odd entry points, for quantum or limit residues
-smaller than a block, and for every instruction of the per-access
-reference engine, whose dynamic accounting leaves nothing to fuse.
+smaller than a block, and for every instruction of the reference
+engine, whose dynamic accounting leaves nothing to generate.
 
 Semantics notes (documented deviations, none observable by the kernels
 this library generates):
@@ -45,8 +61,13 @@ from repro.isa.operands import Imm, Mem
 from repro.isa.registers import GPR64, VectorRegister, gpr
 from repro.machine.branch import make_predictor
 from repro.machine.cache import CacheConfig, CacheHierarchy
-from repro.machine.counters import Counters, make_bump
-from repro.machine.fused import build_block_table
+from repro.machine.counters import Counters
+from repro.machine.fused import (
+    Code,
+    build_block_table,
+    compile_block,
+    shared_binds,
+)
 from repro.machine.memory import Memory
 from repro.machine.pipeline import PipelineModel, PipelineSpec, ReplayInsn
 from repro.machine.replay import ReplayEngine
@@ -61,8 +82,10 @@ _FLOP_MNEMONICS = ("vaddps", "vsubps", "vmulps", "vdivps",
 #: (far below the recorder's event limit, far above per-instruction)
 _FLUSH_CHECK_STRIDE = 4096
 
-#: the turn length :meth:`Cpu.run` drives its single thread with
-_UNBOUNDED_QUANTUM = 1 << 62
+#: the turn length a thread with nobody to interleave with is driven
+#: with (:meth:`Cpu.run`, and a one-thread :class:`~repro.machine.smp.
+#: Machine`)
+UNBOUNDED_QUANTUM = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -98,31 +121,38 @@ class CpuConfig:
 
 
 class InsnSemantics:
-    """Compiled closures + static metadata for one instruction.
+    """Compiled forms + static metadata for one instruction.
 
     Attributes:
-        step: Interpreter closure — executes the instruction including
-            event accounting, returns the next pc.
-        body: Pure architectural semantics (no counters, no pc) — the
-            unit the superblock compiler fuses.  In record mode the
-            body also appends the instruction's effective addresses to
-            the trace.  None for control flow, whose pc decision cannot
-            be fused away.
+        step: Executes the instruction including event accounting,
+            returns the next pc — the reference engine's closure.  None
+            for the fast engines: their step is ``code`` compiled as a
+            block of one, on first use (:meth:`Cpu.semantics`).
+        code: The generated-source fragment of the architectural
+            semantics (no static counters, no pc) — the unit the block
+            compiler assembles.  In record mode it also appends the
+            instruction's effective addresses and branch outcome to the
+            trace.  None for the reference engine.
         deltas: Static counter increments this instruction retires with
             in counts fidelity, or None when execution-dependent state
             (caches, pipeline) makes accounting dynamic.
         replay: Static :class:`~repro.machine.pipeline.ReplayInsn`
             metadata for the trace-replay timing engine (record mode
             only; None otherwise).
+        tail: The next-pc expression ``code`` ends in, for control flow
+            (``code`` then closes a block); None when the instruction
+            falls through.
     """
 
-    __slots__ = ("step", "body", "deltas", "replay")
+    __slots__ = ("step", "code", "deltas", "replay", "tail")
 
-    def __init__(self, step, body=None, deltas=None, replay=None) -> None:
+    def __init__(self, step, code=None, deltas=None, replay=None,
+                 tail=None) -> None:
         self.step = step
-        self.body = body
+        self.code = code
         self.deltas = deltas
         self.replay = replay
+        self.tail = tail
 
 
 class ProgramSemantics:
@@ -144,8 +174,8 @@ def _static_deltas(insn: Instruction, load_size: int, store_size: int,
     """The counter increments one retirement of ``insn`` contributes.
 
     Single source of truth for counts-fidelity accounting: both the
-    per-instruction bump closure and the superblock batch sum are built
-    from this dict, so they cannot drift apart.
+    single step's bump and the block's batch sum are generated from this
+    dict, so they cannot drift apart.
     """
     name = insn.mnemonic
     deltas = {"instructions": 1}
@@ -214,6 +244,8 @@ class Cpu:
         # reused by a new one, which would replay stale closures
         self._compiled: dict[str, ProgramSemantics] = {}
         self._superblocks: dict[str, list] = {}
+        # the names every generated block binds of this CPU
+        self._binds = shared_binds(self)
         # the program in flight (see start()): nothing loaded yet
         self.pc = 0
         self.executed = 0
@@ -230,9 +262,9 @@ class Cpu:
             self.replay.flush()
             self.counters.__init__()
             self.replay.reset_scoreboard()
-            # compiled closures capture only the recorder lists (cleared
-            # in place) and the counters object (re-initialized, same
-            # identity), so they stay valid — no recompilation needed
+            # compiled code binds only the recorder lists (cleared in
+            # place) and the counters object (re-initialized, same
+            # identity), so it stays valid — no recompilation needed
             return
         self.counters.__init__()
         if self.config.timing:
@@ -392,7 +424,7 @@ class Cpu:
         self.start(program, init_gpr, entry, fuel)
         try:
             if not self.done:
-                self.run_quantum(_UNBOUNDED_QUANTUM)
+                self.run_quantum(UNBOUNDED_QUANTUM)
         except BaseException:
             # retire the completed prefix's timing so fault-time counters
             # are bit-identical to per-access interpretation
@@ -413,8 +445,33 @@ class Cpu:
             self._compile_insn(insn, index, program)
             for index, insn in enumerate(program.instructions)
         ])
+        for pc, sem in enumerate(table.insns):
+            if sem.step is None:
+                table.steps[pc] = self._deferred_step(table.steps, pc, sem)
         self._compiled[key] = table
         return table
+
+    def _deferred_step(self, steps: list, pc: int, sem: InsnSemantics):
+        """The fast engines' single step: the instruction's fragment as
+        a block of one, generated the first time the dispatch loop has
+        to step it — most instructions only ever run inside their block.
+        The generated step then replaces this stub in ``steps``."""
+        run = None
+
+        def step() -> int:
+            nonlocal run
+            if run is None:
+                unit = (pc, pc + 1) if self.record else None
+                if sem.tail is None:
+                    run = compile_block([sem.code], self._binds, sem.deltas,
+                                        unit, str(pc + 1))
+                else:
+                    run = compile_block([], self._binds, sem.deltas, unit,
+                                        sem.tail, sem.code)
+                steps[pc] = run
+            return run()
+
+        return step
 
     def superblocks(self, program: Program) -> list:
         """The superblock table for ``program`` (cached); see
@@ -422,10 +479,8 @@ class Cpu:
         key = program.fingerprint()
         table = self._superblocks.get(key)
         if table is None:
-            table = build_block_table(
-                self.semantics(program), program, self.counters,
-                recorder=self.replay.recorder if self.record else None,
-            )
+            table = build_block_table(self.semantics(program), program,
+                                      self._binds)
             self._superblocks[key] = table
         return table
 
@@ -481,7 +536,7 @@ class Cpu:
                 return int.from_bytes(seg.raw[off: off + 4].tobytes(), "little")
         else:
             raise MachineError(f"unsupported integer access size {size}")
-        return load, addr_fn
+        return load
 
     def _store_int_fn(self, mem: Mem):
         addr_fn = self._addr_fn(mem)
@@ -506,7 +561,7 @@ class Cpu:
                     (value & mask).to_bytes(size, "little"), np.uint8
                 )
 
-        return store, addr_fn
+        return store
 
     def _load_f32_fn(self, mem: Mem, lanes: int):
         addr_fn = self._addr_fn(mem)
@@ -523,7 +578,7 @@ class Cpu:
                 seg.raw[off: off + 4 * lanes].tobytes(), np.float32
             )
 
-        return load, addr_fn
+        return load
 
     def _store_f32_fn(self, mem: Mem, lanes: int):
         addr_fn = self._addr_fn(mem)
@@ -541,7 +596,44 @@ class Cpu:
                     values, np.float32
                 ).view(np.uint8)
 
-        return store, addr_fn
+        return store
+
+    # -- the access factories' emitted twins ------------------------------
+    @staticmethod
+    def _emit_load_int(code: Code, mem: Mem, target: str) -> None:
+        """``target = `` the little-endian unsigned integer at ``mem``
+        (:meth:`_load_int_fn`'s ``load``)."""
+        size = mem.size
+        code.access(mem, size, "i64v" if size == 8 else "i32v")
+        aligned = (f"{code.view}.item(o >> 3)" if size == 8
+                   else f"{code.view}.item(o >> 2) & 0xFFFFFFFF")
+        code.add(
+            f"if o & {size - 1}:",
+            f"    {target} = int.from_bytes("
+            f"{code.unaligned(size)}.tobytes(), 'little')",
+            "else:",
+            f"    {target} = {aligned}")
+
+    @staticmethod
+    def _emit_store_int(code: Code, mem: Mem, value: str) -> None:
+        """Write the low ``mem.size`` bytes of ``value`` at ``mem``
+        (:meth:`_store_int_fn`'s ``store``): typed views hold signed
+        words, so an aligned store wraps to two's complement first."""
+        size = mem.size
+        bits = 8 * size
+        raw = (f"{code.unaligned(size)} = frombuffer(({value} & "
+               f"{(1 << bits) - 1:#x}).to_bytes({size}, 'little'), u8)")
+        if size not in (4, 8):
+            code.access(mem, size, "raw").add(raw)
+            return
+        code.access(mem, size, "i64v" if size == 8 else "i32v")
+        code.add(
+            f"if o & {size - 1}:",
+            f"    {raw}",
+            "else:",
+            f"    w = {value} & {(1 << bits) - 1:#x}",
+            f"    {code.view}[o >> {2 if size == 4 else 3}] = "
+            f"w - {1 << bits:#x} if w >= {1 << (bits - 1):#x} else w")
 
     # -- accounting factories --------------------------------------------
     def _finish(
@@ -549,54 +641,51 @@ class Cpu:
         insn: Instruction,
         body,
         nxt: int,
-        load_addr_fn=None,
+        load: Mem | None = None,
         load_size: int = 0,
-        store_addr_fn=None,
+        store: Mem | None = None,
         store_size: int = 0,
         extra: dict[str, int] | None = None,
+        emit=None,
     ) -> InsnSemantics:
-        """Compose one straight-line instruction: body + accounting.
+        """Compose one straight-line instruction: semantics + accounting.
 
-        In counts fidelity the accounting is a compiled static bump and
-        the (body, deltas) pair is exposed for superblock fusion; in
-        record mode the body additionally appends the instruction's
-        effective addresses to the trace (computed after the body runs,
-        exactly when the reference accounting computes them); in
-        reference timing fidelity accounting touches caches and the
-        pipeline per execution, so the step stays the only runnable
-        form.
+        ``body`` is the form's closure, ``emit(code)`` its emitter
+        (None: the form has none), ``load`` / ``store`` the memory
+        operand it reads / writes.  In counts fidelity the accounting is
+        the static ``deltas``, and the emitted fragment — a call to
+        ``body`` for a form without an emitter — is what blocks and the
+        single step are generated from; in record mode the fragment
+        additionally appends the instruction's effective addresses to
+        the trace (loads, then stores, formed after execution: exactly
+        when the reference accounting computes them); in reference
+        timing fidelity accounting touches caches and the pipeline per
+        execution, so a closure step is the only runnable form and
+        nothing is emitted.
         """
         if self.caches is None:
-            load = load_size if load_addr_fn is not None else 0
-            store = store_size if store_addr_fn is not None else 0
-            deltas = _static_deltas(insn, load, store, extra)
-            bump = make_bump(self.counters, deltas)
+            deltas = _static_deltas(insn, load_size, store_size, extra)
+            code = Code(self, nxt - 1)
+            if emit is None:
+                code.call(body)
+            else:
+                emit(code)
             replay_insn = None
             if self.record:
-                replay_insn = ReplayInsn(insn, load_size=load,
-                                         store_size=store)
-                body = self._recording_body(body, load_addr_fn,
-                                            store_addr_fn)
-                unit_append = self.replay.recorder.units.append
-                unit = (nxt - 1, nxt)
-
-                def step() -> int:
-                    body()
-                    bump()
-                    unit_append(unit)
-                    return nxt
-
-                return InsnSemantics(step, body, deltas, replay_insn)
-
-            def step() -> int:
-                body()
-                bump()
-                return nxt
-
-            return InsnSemantics(step, body, deltas)
+                replay_insn = ReplayInsn(insn, load_size=load_size,
+                                         store_size=store_size)
+                for mem in (load, store):
+                    if mem is not None:
+                        code.trace(mem, any(
+                            reg in mem.registers()
+                            for reg in insn.registers_written()))
+            return InsnSemantics(None, code, deltas, replay_insn)
 
         account = self._timing_account_fn(
-            insn, load_addr_fn, load_size, store_addr_fn, store_size, extra
+            insn,
+            self._addr_fn(load) if load is not None else None, load_size,
+            self._addr_fn(store) if store is not None else None, store_size,
+            extra,
         )
 
         def step() -> int:
@@ -604,38 +693,7 @@ class Cpu:
             account()
             return nxt
 
-        return InsnSemantics(step, body)
-
-    def _recording_body(self, body, load_addr_fn, store_addr_fn):
-        """Wrap a pure body so it appends its effective addresses to the
-        trace — in the order (loads, then stores) and at the time (after
-        the body executed) the reference accounting touches the cache."""
-        record = self.replay.recorder.addrs.append
-        if load_addr_fn is not None and store_addr_fn is not None:
-            def recording_body() -> None:
-                body()
-                record(load_addr_fn())
-                record(store_addr_fn())
-            return recording_body
-        if load_addr_fn is not None:
-            def recording_body() -> None:
-                body()
-                record(load_addr_fn())
-            return recording_body
-        if store_addr_fn is not None:
-            def recording_body() -> None:
-                body()
-                record(store_addr_fn())
-            return recording_body
-        return body
-
-    def _account_fn(self, insn: Instruction):
-        """Accounting-only closure for instructions with no fusible body
-        (control flow) — static bump in counts mode, cache/pipeline
-        accounting in timing mode."""
-        if self.caches is None:
-            return make_bump(self.counters, _static_deltas(insn, 0, 0))
-        return self._timing_account_fn(insn, None, 0, None, 0, None)
+        return InsnSemantics(step)
 
     def _timing_account_fn(
         self,
@@ -705,18 +763,9 @@ class Cpu:
 
         # ---------------- control flow ----------------
         if name == "ret":
-            if self.record:
-                bump = make_bump(counters,
-                                 {"instructions": 1, "branches": 1})
-                unit_append = self.replay.recorder.units.append
-                unit = (index, index + 1)
-
-                def step_ret_rec() -> int:
-                    bump()
-                    unit_append(unit)
-                    return -1
-                return InsnSemantics(step_ret_rec, replay=ReplayInsn(insn))
-            account = self._account_fn(insn)
+            if self.caches is None:
+                return self._branch(insn, index, "-1")
+            account = self._timing_account_fn(insn, None, 0, None, 0, None)
 
             def step_ret() -> int:
                 account()
@@ -726,18 +775,9 @@ class Cpu:
 
         if name == "jmp":
             target = program.target_index(ops[0])
-            if self.record:
-                bump = make_bump(counters,
-                                 {"instructions": 1, "branches": 1})
-                unit_append = self.replay.recorder.units.append
-                unit = (index, index + 1)
-
-                def step_jmp_rec() -> int:
-                    bump()
-                    unit_append(unit)
-                    return target
-                return InsnSemantics(step_jmp_rec, replay=ReplayInsn(insn))
-            account = self._account_fn(insn)
+            if self.caches is None:
+                return self._branch(insn, index, str(target))
+            account = self._timing_account_fn(insn, None, 0, None, 0, None)
 
             def step_jmp() -> int:
                 account()
@@ -751,7 +791,8 @@ class Cpu:
         if name == "nop":
             def body_nop() -> None:
                 return None
-            return self._finish(insn, body_nop, nxt)
+            return self._finish(insn, body_nop, nxt,
+                                emit=lambda code: None)
 
         # ---------------- integer ----------------
         if name == "mov":
@@ -799,6 +840,29 @@ class Cpu:
         raise MachineError(f"no interpreter for instruction: {insn}")
 
     # ------------------------------------------------------------------
+    def _branch(self, insn: Instruction, index: int, tail: str,
+                taken: str | None = None) -> InsnSemantics:
+        """A control-flow instruction of the fast engines: a fragment
+        that closes its block, and ``tail``, the next-pc expression.
+
+        A conditional branch evaluates ``taken`` into ``t``.  In counts
+        fidelity it updates the live predictor; in record mode the taken
+        bit is recorded instead, and the replay sweep classifies (and
+        counts) mispredictions.
+        """
+        code = Code(self, index)
+        deltas = {"instructions": 1, "branches": 1}
+        if taken is not None:
+            deltas["cond_branches"] = 1
+            code.add(f"t = {taken}")
+            if self.record:
+                code.add(f"ba({index << 1 | 1} if t else {index << 1})")
+            else:
+                code.add(f"if not predict({index}, t):",
+                         "    c.branch_misses += 1")
+        return InsnSemantics(None, code, deltas,
+                             ReplayInsn(insn) if self.record else None, tail)
+
     def _compile_jcc(self, insn: Instruction, index: int,
                      program: Program) -> InsnSemantics:
         target = program.target_index(insn.operands[0])
@@ -809,39 +873,26 @@ class Cpu:
         predictor = self.predictor
         pipeline = self.pipeline
 
+        # closure and emitted expression, side by side
         conditions = {
-            "je": lambda: cpu.zf,
-            "jne": lambda: not cpu.zf,
-            "jl": lambda: cpu.sf,
-            "jge": lambda: not cpu.sf,
-            "jle": lambda: cpu.sf or cpu.zf,
-            "jg": lambda: not (cpu.sf or cpu.zf),
-            "jb": lambda: cpu.cf,
-            "jae": lambda: not cpu.cf,
-            "jbe": lambda: cpu.cf or cpu.zf,
-            "ja": lambda: not (cpu.cf or cpu.zf),
+            "je": (lambda: cpu.zf, "cpu.zf"),
+            "jne": (lambda: not cpu.zf, "not cpu.zf"),
+            "jl": (lambda: cpu.sf, "cpu.sf"),
+            "jge": (lambda: not cpu.sf, "not cpu.sf"),
+            "jle": (lambda: cpu.sf or cpu.zf, "cpu.sf or cpu.zf"),
+            "jg": (lambda: not (cpu.sf or cpu.zf),
+                   "not (cpu.sf or cpu.zf)"),
+            "jb": (lambda: cpu.cf, "cpu.cf"),
+            "jae": (lambda: not cpu.cf, "not cpu.cf"),
+            "jbe": (lambda: cpu.cf or cpu.zf, "cpu.cf or cpu.zf"),
+            "ja": (lambda: not (cpu.cf or cpu.zf),
+                   "not (cpu.cf or cpu.zf)"),
         }
-        cond = conditions[name]
+        cond, taken = conditions[name]
 
-        if self.record:
-            # no live predictor update: the taken bit is recorded and the
-            # replay sweep classifies (and counts) mispredictions
-            recorder = self.replay.recorder
-            unit_append = recorder.units.append
-            branch_append = recorder.branches.append
-            unit = (index, index + 1)
-            packed_base = index << 1
-            bump = make_bump(counters, {"instructions": 1, "branches": 1,
-                                        "cond_branches": 1})
-
-            def step_jcc_rec() -> int:
-                taken = cond()
-                bump()
-                branch_append(packed_base | 1 if taken else packed_base)
-                unit_append(unit)
-                return target if taken else nxt
-
-            return InsnSemantics(step_jcc_rec, replay=ReplayInsn(insn))
+        if self.caches is None:
+            return self._branch(insn, index, f"{target} if t else {nxt}",
+                                taken)
 
         if pipeline is None:
             def step_jcc() -> int:
@@ -873,41 +924,56 @@ class Cpu:
 
         if isinstance(dst, GPR64) and isinstance(src, Imm):
             value = src.value
-            code = dst.code
+            dcode = dst.code
 
             def body() -> None:
-                gpr_state[code] = value
-            return self._finish(insn, body, nxt)
+                gpr_state[dcode] = value
+
+            def emit(code: Code) -> None:
+                code.add(f"g[{dcode}] = {value}")
+            return self._finish(insn, body, nxt, emit=emit)
         if isinstance(dst, GPR64) and isinstance(src, GPR64):
             dcode, scode = dst.code, src.code
 
             def body() -> None:
                 gpr_state[dcode] = gpr_state[scode]
-            return self._finish(insn, body, nxt)
+
+            def emit(code: Code) -> None:
+                code.add(f"g[{dcode}] = g[{scode}]")
+            return self._finish(insn, body, nxt, emit=emit)
         if isinstance(dst, GPR64) and isinstance(src, Mem):
-            load, addr_fn = self._load_int_fn(src)
-            code = dst.code
+            load = self._load_int_fn(src)
+            dcode = dst.code
 
             def body() -> None:
-                gpr_state[code] = load()
-            return self._finish(insn, body, nxt,
-                                load_addr_fn=addr_fn, load_size=src.size)
+                gpr_state[dcode] = load()
+
+            def emit(code: Code) -> None:
+                self._emit_load_int(code, src, f"g[{dcode}]")
+            return self._finish(insn, body, nxt, load=src,
+                                load_size=src.size, emit=emit)
         if isinstance(dst, Mem) and isinstance(src, GPR64):
-            store, addr_fn = self._store_int_fn(dst)
-            code = src.code
+            store = self._store_int_fn(dst)
+            scode = src.code
 
             def body() -> None:
-                store(gpr_state[code])
-            return self._finish(insn, body, nxt,
-                                store_addr_fn=addr_fn, store_size=dst.size)
+                store(gpr_state[scode])
+
+            def emit(code: Code) -> None:
+                self._emit_store_int(code, dst, f"g[{scode}]")
+            return self._finish(insn, body, nxt, store=dst,
+                                store_size=dst.size, emit=emit)
         if isinstance(dst, Mem) and isinstance(src, Imm):
-            store, addr_fn = self._store_int_fn(dst)
+            store = self._store_int_fn(dst)
             value = src.value
 
             def body() -> None:
                 store(value)
-            return self._finish(insn, body, nxt,
-                                store_addr_fn=addr_fn, store_size=dst.size)
+
+            def emit(code: Code) -> None:
+                self._emit_store_int(code, dst, str(value))
+            return self._finish(insn, body, nxt, store=dst,
+                                store_size=dst.size, emit=emit)
         raise MachineError(f"unsupported mov form: {insn}")
 
     def _compile_alu(self, insn: Instruction, nxt: int) -> InsnSemantics:
@@ -930,7 +996,11 @@ class Cpu:
                 value = gpr_state[scode] * k
                 gpr_state[dcode] = value
                 cpu.zf, cpu.sf, cpu.cf = value == 0, value < 0, False
-            return self._finish(insn, body, nxt)
+
+            def emit(code: Code) -> None:
+                code.add(f"r = g[{scode}] * {k}", f"g[{dcode}] = r",
+                         "cpu.zf = r == 0; cpu.sf = r < 0; cpu.cf = False")
+            return self._finish(insn, body, nxt, emit=emit)
 
         src = ops[1]
         operations = {
@@ -943,6 +1013,16 @@ class Cpu:
         }
         op = operations[name]
         is_sub = name == "sub"
+        symbol = {"add": "+", "sub": "-", "and": "&", "or": "|",
+                  "xor": "^", "imul": "*"}[name]
+
+        def emitter(operand: str):
+            def emit(code: Code) -> None:
+                code.add(f"x = g[{dcode}]; y = {operand}",
+                         f"r = x {symbol} y", f"g[{dcode}] = r",
+                         "cpu.zf = r == 0; cpu.sf = r < 0; "
+                         f"cpu.cf = {'x < y' if is_sub else 'False'}")
+            return emit
 
         if isinstance(src, Imm):
             k = src.value
@@ -953,7 +1033,7 @@ class Cpu:
                 gpr_state[dcode] = value
                 cpu.zf, cpu.sf = value == 0, value < 0
                 cpu.cf = a < k if is_sub else False
-            return self._finish(insn, body, nxt)
+            return self._finish(insn, body, nxt, emit=emitter(str(k)))
         if isinstance(src, GPR64):
             scode = src.code
 
@@ -964,9 +1044,10 @@ class Cpu:
                 gpr_state[dcode] = value
                 cpu.zf, cpu.sf = value == 0, value < 0
                 cpu.cf = a < b if is_sub else False
-            return self._finish(insn, body, nxt)
+            return self._finish(insn, body, nxt,
+                                emit=emitter(f"g[{scode}]"))
         if isinstance(src, Mem):
-            load, addr_fn = self._load_int_fn(src)
+            load = self._load_int_fn(src)
 
             def body() -> None:
                 a = gpr_state[dcode]
@@ -976,7 +1057,7 @@ class Cpu:
                 cpu.zf, cpu.sf = value == 0, value < 0
                 cpu.cf = a < b if is_sub else False
             return self._finish(insn, body, nxt,
-                                load_addr_fn=addr_fn, load_size=src.size)
+                                load=src, load_size=src.size)
         raise MachineError(f"unsupported {name} form: {insn}")
 
     def _compile_cmp(self, insn: Instruction, nxt: int) -> InsnSemantics:
@@ -986,32 +1067,42 @@ class Cpu:
         is_test = insn.mnemonic == "test"
 
         def value_fn(op):
+            """The operand's closure, source expression and memory
+            operand (a memory operand has no expression: the form then
+            stays a closure call)."""
             if isinstance(op, GPR64):
                 code = op.code
-                return (lambda: gpr_state[code]), None, 0
+                return (lambda: gpr_state[code]), f"g[{code}]", None
             if isinstance(op, Imm):
                 k = op.value
-                return (lambda: k), None, 0
+                return (lambda: k), str(k), None
             if isinstance(op, Mem):
-                load, addr_fn = self._load_int_fn(op)
-                return load, addr_fn, op.size
+                return self._load_int_fn(op), None, op
             raise MachineError(f"unsupported compare operand: {op}")
 
-        a_fn, a_addr, a_size = value_fn(a_op)
-        b_fn, b_addr, b_size = value_fn(b_op)
-        load_addr = a_addr or b_addr
-        load_size = a_size or b_size
+        a_fn, a_expr, a_mem = value_fn(a_op)
+        b_fn, b_expr, b_mem = value_fn(b_op)
+        load = a_mem or b_mem
 
         if is_test:
             def body() -> None:
                 value = a_fn() & b_fn()
                 cpu.zf, cpu.sf, cpu.cf = value == 0, value < 0, False
+
+            def emit(code: Code) -> None:
+                code.add(f"r = {a_expr} & {b_expr}",
+                         "cpu.zf = r == 0; cpu.sf = r < 0; cpu.cf = False")
         else:
             def body() -> None:
                 a, b = a_fn(), b_fn()
                 cpu.zf, cpu.sf, cpu.cf = a == b, a < b, a < b
-        return self._finish(insn, body, nxt,
-                            load_addr_fn=load_addr, load_size=load_size)
+
+            def emit(code: Code) -> None:
+                code.add(f"x = {a_expr}; y = {b_expr}",
+                         "cpu.zf = x == y; cpu.sf = cpu.cf = x < y")
+        return self._finish(insn, body, nxt, load=load,
+                            load_size=load.size if load else 0,
+                            emit=emit if load is None else None)
 
     def _compile_unary(self, insn: Instruction, nxt: int) -> InsnSemantics:
         (dst,) = insn.operands
@@ -1027,18 +1118,25 @@ class Cpu:
                 value = gpr_state[code] + 1
                 gpr_state[code] = value
                 cpu.zf, cpu.sf = value == 0, value < 0
+            result, carry = f"g[{code}] + 1", ""
         elif name == "dec":
             def body() -> None:
                 value = gpr_state[code] - 1
                 gpr_state[code] = value
                 cpu.zf, cpu.sf = value == 0, value < 0
+            result, carry = f"g[{code}] - 1", ""
         else:  # neg
             def body() -> None:
                 value = -gpr_state[code]
                 gpr_state[code] = value
                 cpu.zf, cpu.sf = value == 0, value < 0
                 cpu.cf = value != 0
-        return self._finish(insn, body, nxt)
+            result, carry = f"-g[{code}]", "; cpu.cf = r != 0"
+
+        def emit(emitted: Code) -> None:
+            emitted.add(f"r = {result}", f"g[{code}] = r",
+                        f"cpu.zf = r == 0; cpu.sf = r < 0{carry}")
+        return self._finish(insn, body, nxt, emit=emit)
 
     def _compile_shift(self, insn: Instruction, nxt: int) -> InsnSemantics:
         dst, amount = insn.operands
@@ -1059,14 +1157,19 @@ class Cpu:
                 value = gpr_state[code] >> k
                 gpr_state[code] = value
                 cpu.zf, cpu.sf = value == 0, value < 0
-        return self._finish(insn, body, nxt)
+
+        def emit(emitted: Code) -> None:
+            emitted.add(
+                f"r = g[{code}] {'<<' if name == 'shl' else '>>'} {k}",
+                f"g[{code}] = r", "cpu.zf = r == 0; cpu.sf = r < 0")
+        return self._finish(insn, body, nxt, emit=emit)
 
     def _compile_xadd(self, insn: Instruction, nxt: int) -> InsnSemantics:
         dst, src = insn.operands
         if not isinstance(dst, Mem) or not isinstance(src, GPR64):
             raise MachineError(f"unsupported xadd form: {insn}")
-        load, addr_fn = self._load_int_fn(dst)
-        store, _ = self._store_int_fn(dst)
+        load = self._load_int_fn(dst)
+        store = self._store_int_fn(dst)
         gpr_state = self.gpr
         cpu = self
         scode = src.code
@@ -1079,8 +1182,8 @@ class Cpu:
             cpu.zf, cpu.sf, cpu.cf = total == 0, total < 0, False
         return self._finish(
             insn, body, nxt,
-            load_addr_fn=addr_fn, load_size=dst.size,
-            store_addr_fn=addr_fn, store_size=dst.size,
+            load=dst, load_size=dst.size,
+            store=dst, store_size=dst.size,
             extra={"atomic_ops": 1},
         )
 
@@ -1095,24 +1198,49 @@ class Cpu:
 
         if isinstance(dst, VectorRegister) and isinstance(src, Mem):
             lanes = 1 if scalar else dst.lanes_f32
-            load, addr_fn = self._load_f32_fn(src, lanes)
-            code = dst.code
+            load = self._load_f32_fn(src, lanes)
+            dcode = dst.code
 
             def body() -> None:
-                row = vec[code]
+                row = vec[dcode]
                 row[:] = 0.0
                 row[:lanes] = load()
-            return self._finish(insn, body, nxt,
-                                load_addr_fn=addr_fn, load_size=4 * lanes)
+
+            def emit(code: Code) -> None:
+                self._emit_clear_then_access(code, dcode, lanes, src,
+                                             4 * lanes)
+                if scalar:
+                    code.add(f"{code.row(dcode)}[0] = {self._f32_at(code)}")
+                    return
+                code.add(
+                    "if o & 3:",
+                    f"    {code.low(dcode, lanes)}[:] = frombuffer("
+                    f"{code.unaligned(4 * lanes)}.tobytes(), f32)",
+                    "else:",
+                    f"    k = o >> 2; {code.low(dcode, lanes)}[:] = "
+                    f"{code.view}[k:k + {lanes}]")
+            return self._finish(insn, body, nxt, load=src,
+                                load_size=4 * lanes, emit=emit)
         if isinstance(dst, Mem) and isinstance(src, VectorRegister):
             lanes = 1 if scalar else src.lanes_f32
-            store, addr_fn = self._store_f32_fn(dst, lanes)
-            code = src.code
+            store = self._store_f32_fn(dst, lanes)
+            scode = src.code
 
             def body() -> None:
-                store(vec[code, :lanes])
-            return self._finish(insn, body, nxt,
-                                store_addr_fn=addr_fn, store_size=4 * lanes)
+                store(vec[scode, :lanes])
+
+            def emit(code: Code) -> None:
+                code.access(dst, 4 * lanes, "f32v")
+                values = code.low(scode, lanes)
+                code.add(
+                    "if o & 3:",
+                    f"    {code.unaligned(4 * lanes)} = {values}.view(u8)",
+                    "else:",
+                    f"    {code.view}[o >> 2] = {code.row(scode)}[0]"
+                    if scalar else
+                    f"    k = o >> 2; {code.view}[k:k + {lanes}] = {values}")
+            return self._finish(insn, body, nxt, store=dst,
+                                store_size=4 * lanes, emit=emit)
         if isinstance(dst, VectorRegister) and isinstance(src, VectorRegister):
             lanes = 1 if scalar else max(dst.lanes_f32, src.lanes_f32)
             dcode, scode = dst.code, src.code
@@ -1123,6 +1251,26 @@ class Cpu:
                 row[:lanes] = vec[scode, :lanes]
             return self._finish(insn, body, nxt)
         raise MachineError(f"unsupported {name} form: {insn}")
+
+    @staticmethod
+    def _emit_clear_then_access(code: Code, dcode: int, lanes: int,
+                                mem: Mem, size: int) -> None:
+        """A vector load's opening: clear the destination register, then
+        check the access — the closure's order, so a faulting load
+        leaves a cleared register behind.  A full-width load overwrites
+        every lane anyway, so it clears only on the miss path, where the
+        fault can happen."""
+        clear = f"{code.row(dcode)}.fill(0.0)"
+        if lanes == 16:
+            code.access(mem, size, "f32v", before_miss=clear)
+        else:
+            code.add(clear).access(mem, size, "f32v")
+
+    @staticmethod
+    def _f32_at(code: Code) -> str:
+        """The float32 scalar at the checked address."""
+        return (f"(frombuffer({code.unaligned(4)}.tobytes(), f32)[0] "
+                f"if o & 3 else {code.view}[o >> 2])")
 
     def _compile_vxorps(self, insn: Instruction, nxt: int) -> InsnSemantics:
         dst, a, b = insn.operands
@@ -1135,7 +1283,10 @@ class Cpu:
             if a.code == b.code:
                 def body() -> None:
                     vec[dcode, :] = 0.0
-                return self._finish(insn, body, nxt)
+
+                def emit(code: Code) -> None:
+                    code.add(f"{code.row(dcode)}.fill(0.0)")
+                return self._finish(insn, body, nxt, emit=emit)
             acode, bcode = a.code, b.code
 
             def body() -> None:
@@ -1154,19 +1305,25 @@ class Cpu:
 
         if isinstance(src, Mem):
             if is_int:
-                load, addr_fn = self._load_int_fn(src)
+                load = self._load_int_fn(src)
+                emit = None
 
                 def body() -> None:
                     vec_i32[dcode, :] = 0
                     vec_i32[dcode, :lanes] = load()
             else:
-                load, addr_fn = self._load_f32_fn(src, 1)
+                load = self._load_f32_fn(src, 1)
 
                 def body() -> None:
                     vec[dcode, :] = 0.0
                     vec[dcode, :lanes] = load()[0]
-            return self._finish(insn, body, nxt,
-                                load_addr_fn=addr_fn, load_size=4)
+
+                def emit(code: Code) -> None:
+                    self._emit_clear_then_access(code, dcode, lanes, src, 4)
+                    code.add(f"{code.low(dcode, lanes)}.fill("
+                             f"{self._f32_at(code)})")
+            return self._finish(insn, body, nxt, load=src, load_size=4,
+                                emit=emit)
         if isinstance(src, VectorRegister):
             scode = src.code
 
@@ -1205,18 +1362,28 @@ class Cpu:
                 result = op(state[acode, :lanes], state[bcode, :lanes])
                 state[dcode, lanes:] = 0
                 state[dcode, :lanes] = result
-            return self._finish(insn, body, nxt)
+
+            def emit(code: Code) -> None:
+                # the ufunc writes the destination view in place: lanes
+                # are independent, so a destination that is also a
+                # source is safe
+                code.add(f"{op.__name__}({code.low(acode, lanes, is_int)}, "
+                         f"{code.low(bcode, lanes, is_int)}, "
+                         f"{code.low(dcode, lanes, is_int)})")
+                if lanes < 16:
+                    code.add(f"{code.high(dcode, lanes)}.fill(0.0)")
+            return self._finish(insn, body, nxt, emit=emit)
         if isinstance(b, Mem):
             if is_int:
                 raise MachineError(f"memory form not supported: {insn}")
-            load, addr_fn = self._load_f32_fn(b, lanes)
+            load = self._load_f32_fn(b, lanes)
 
             def body() -> None:
                 result = op(state[acode, :lanes], load())
                 state[dcode, lanes:] = 0
                 state[dcode, :lanes] = result
             return self._finish(insn, body, nxt,
-                                load_addr_fn=addr_fn, load_size=4 * lanes)
+                                load=b, load_size=4 * lanes)
         raise MachineError(f"unsupported {name} form: {insn}")
 
     def _compile_vec3_scalar(self, insn: Instruction, nxt: int) -> InsnSemantics:
@@ -1240,7 +1407,7 @@ class Cpu:
                 row[1:4] = upper
             return self._finish(insn, body, nxt)
         if isinstance(b, Mem):
-            load, addr_fn = self._load_f32_fn(b, 1)
+            load = self._load_f32_fn(b, 1)
 
             def body() -> None:
                 value = op(np.float32(vec[acode, 0]), np.float32(load()[0]))
@@ -1249,8 +1416,7 @@ class Cpu:
                 row[:] = 0.0
                 row[0] = value
                 row[1:4] = upper
-            return self._finish(insn, body, nxt,
-                                load_addr_fn=addr_fn, load_size=4)
+            return self._finish(insn, body, nxt, load=b, load_size=4)
         raise MachineError(f"unsupported {name} form: {insn}")
 
     def _compile_fma(self, insn: Instruction, nxt: int) -> InsnSemantics:
@@ -1260,19 +1426,49 @@ class Cpu:
         lanes = 1 if scalar else dst.lanes_f32
         dcode, acode = dst.code, a.code
 
+        def accumulate(code: Code, operand: str) -> str:
+            """``dst += a * operand``: the scalar form on float32
+            scalars (the same two roundings as a one-lane array
+            expression at a fraction of the dispatch), the packed form
+            on the hoisted register views."""
+            if scalar:
+                acc = code.row(dcode)
+                return (f"{acc}[0] = {acc}[0] + "
+                        f"{code.row(acode)}[0] * {operand}")
+            acc = code.low(dcode, lanes)
+            return f"add({acc}, {code.low(acode, lanes)} * {operand}, {acc})"
+
         if isinstance(b, VectorRegister):
             bcode = b.code
 
             def body() -> None:
                 vec[dcode, :lanes] += vec[acode, :lanes] * vec[bcode, :lanes]
-            return self._finish(insn, body, nxt)
+
+            def emit(code: Code) -> None:
+                code.add(accumulate(code, f"{code.row(bcode)}[0]" if scalar
+                                    else code.low(bcode, lanes)))
+            return self._finish(insn, body, nxt, emit=emit)
         if isinstance(b, Mem):
-            load, addr_fn = self._load_f32_fn(b, lanes)
+            load = self._load_f32_fn(b, lanes)
 
             def body() -> None:
                 vec[dcode, :lanes] += vec[acode, :lanes] * load()
-            return self._finish(insn, body, nxt,
-                                load_addr_fn=addr_fn, load_size=4 * lanes)
+
+            def emit(code: Code) -> None:
+                code.access(b, 4 * lanes, "f32v")
+                if scalar:
+                    code.add(accumulate(code, self._f32_at(code)))
+                    return
+                unaligned = (f"frombuffer({code.unaligned(4 * lanes)}"
+                             ".tobytes(), f32)")
+                code.add(
+                    "if o & 3:",
+                    "    " + accumulate(code, unaligned),
+                    "else:",
+                    "    k = o >> 2; "
+                    + accumulate(code, f"{code.view}[k:k + {lanes}]"))
+            return self._finish(insn, body, nxt, load=b,
+                                load_size=4 * lanes, emit=emit)
         raise MachineError(f"unsupported fma form: {insn}")
 
     def _compile_vhaddps(self, insn: Instruction, nxt: int) -> InsnSemantics:
@@ -1357,45 +1553,33 @@ class Cpu:
                 "memory_loads": lanes, "loaded_bytes": 4 * lanes,
                 "gather_elements": lanes,
             }
-            bump = make_bump(counters, deltas)
-            if self.record:
-                # per-lane address recording interleaved with the lane
-                # reads, mirroring the reference timed step: a lane's
-                # address is recorded only once its read succeeded, so a
-                # mid-gather fault leaves exactly the completed lanes'
-                # cache events in the trace
-                record = self.replay.recorder.addrs.append
-                unit_append = self.replay.recorder.units.append
-                unit = (nxt - 1, nxt)
+            if not self.record:
+                return InsnSemantics(None, Code(self, nxt - 1).call(body),
+                                     deltas)
+            # per-lane address recording interleaved with the lane
+            # reads, mirroring the reference timed step: a lane's
+            # address is recorded only once its read succeeded, so a
+            # mid-gather fault leaves exactly the completed lanes'
+            # cache events in the trace
+            record = self.replay.recorder.addrs.append
 
-                def body_rec() -> None:
-                    base = gpr_state[base_code] + disp
-                    indices = vec_i32[icode, :lanes]
-                    row = vec[dcode]
-                    row[lanes:] = 0.0
-                    for lane in range(lanes):
-                        addr = base + int(indices[lane]) * scale
-                        seg = memory.segment_of(addr, 4)
-                        off = addr - seg.base
-                        row[lane] = (seg.f32v[off >> 2] if not off & 3
-                                     else np.frombuffer(
-                                         seg.raw[off: off + 4].tobytes(),
-                                         np.float32)[0])
-                        record(addr)
+            def body_rec() -> None:
+                base = gpr_state[base_code] + disp
+                indices = vec_i32[icode, :lanes]
+                row = vec[dcode]
+                row[lanes:] = 0.0
+                for lane in range(lanes):
+                    addr = base + int(indices[lane]) * scale
+                    seg = memory.segment_of(addr, 4)
+                    off = addr - seg.base
+                    row[lane] = (seg.f32v[off >> 2] if not off & 3
+                                 else np.frombuffer(
+                                     seg.raw[off: off + 4].tobytes(),
+                                     np.float32)[0])
+                    record(addr)
 
-                def step_rec() -> int:
-                    body_rec()
-                    bump()
-                    unit_append(unit)
-                    return nxt
-                return InsnSemantics(step_rec, body_rec, deltas,
-                                     ReplayInsn(insn, gather_lanes=lanes))
-
-            def step() -> int:
-                body()
-                bump()
-                return nxt
-            return InsnSemantics(step, body, deltas)
+            return InsnSemantics(None, Code(self, nxt - 1).call(body_rec),
+                                 deltas, ReplayInsn(insn, gather_lanes=lanes))
 
         cpu = self  # pipeline may be swapped out during warm-up passes
 
@@ -1424,7 +1608,7 @@ class Cpu:
                 cpu.pipeline.issue(insn, load_refs=tuple(refs),
                                    gather_lanes=lanes)
             return nxt
-        return InsnSemantics(step_timed, body)
+        return InsnSemantics(step_timed)
 
 
 def _dest_lanes(insn: Instruction) -> int:

@@ -276,7 +276,7 @@ class ReplayEngine:
         addrs = recorder.addrs
         counters = self.counters
         if units:
-            # coalesce pc-adjacent units: a chunk and the terminator (or
+            # coalesce pc-adjacent units: a block and the next chunk (or
             # stepped residue) that followed it replay as one longer
             # straight-line function — replaying (a, b) then (b, c) is
             # definitionally the same per-instruction sequence as

@@ -14,11 +14,13 @@ with a deterministic interleaving.  Instructions never interleave
 *within* an instruction, so ``lock``-prefixed read-modify-writes are
 atomic by construction.
 
-Superblock dispatch (:meth:`Cpu.run_quantum`) preserves that contract
+Block dispatch (:meth:`Cpu.run_quantum`) preserves that contract
 exactly: a thread's turn still retires exactly ``quantum`` instructions
 — whole blocks while they fit, per-instruction steps for the residue —
 so the global interleaving, and with it every ``lock xadd`` race outcome
 and per-thread counter, is bit-identical to per-instruction scheduling.
+A machine running a single thread has no interleaving to preserve and
+runs it in one unbounded turn: the result is the same for any quantum.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 
 from repro.isa.assembler import Program
 from repro.machine.counters import Counters
-from repro.machine.cpu import Cpu, CpuConfig
+from repro.machine.cpu import UNBOUNDED_QUANTUM, Cpu, CpuConfig
 from repro.machine.memory import Memory
 
 __all__ = ["Machine", "ThreadSpec"]
@@ -102,7 +104,11 @@ class Machine:
     def _execute(self, cpus: list[Cpu], threads: list[ThreadSpec]) -> None:
         for cpu, spec in zip(cpus, threads):
             cpu.start(spec.program, spec.init_gpr, name=spec.name)
-        quantum = self.quantum
+        # one thread has nobody to interleave with: drive it unbounded
+        # (run_quantum's flush-pressure stride still bounds the
+        # recorder) rather than stepping a block-sized residue at the
+        # end of every turn
+        quantum = self.quantum if len(cpus) > 1 else UNBOUNDED_QUANTUM
         try:
             while True:
                 alive = False

@@ -47,8 +47,8 @@ class Tracer:
     def run(self, program: Program, **kwargs) -> None:
         """Execute ``program`` on the wrapped CPU, recording the trace.
 
-        Superblocks run unwrapped bodies, which would silently drop
-        fused instructions from the trace, so the wrapped steps are
+        Generated blocks execute their instructions inline, which would
+        silently drop them from the trace, so the wrapped steps are
         installed next to an empty block table: every instruction is
         dispatched as a single step.  The CPU's own compiled entries
         come back on exit.

@@ -81,7 +81,6 @@ class TestCli:
                                          tmp_path):
         monkeypatch.setenv("REPRO_BENCH_DATASETS", "uk-2005")
         monkeypatch.setenv("REPRO_BENCH_THREADS", "2")
-        monkeypatch.setenv("REPRO_BENCH_OBS_CLIENTS", "2")
         monkeypatch.setenv("REPRO_BENCH_OBS_REQUESTS", "8")
         json_path = tmp_path / "BENCH_obsoverhead.json"
         trace_path = tmp_path / "BENCH_obsoverhead_trace.json"
@@ -94,6 +93,7 @@ class TestCli:
         import json
         payload = json.loads(json_path.read_text())
         assert payload["experiment"] == "obsoverhead"
+        assert payload["clients"] == 1      # the gate prices a lone client
         assert {row["mode"] for row in payload["rows"]} == {
             "tracing off", "tracing on"}
         assert payload["disabled_span_ns"] > 0

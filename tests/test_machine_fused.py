@@ -1,11 +1,13 @@
-"""Tests for superblock dispatch and the content-keyed closure cache.
+"""Tests for block dispatch, the content-keyed compiled-program cache
+and the bounded generated-source cache.
 
-Superblocks are the simulator's only driver, so the oracle is the
+Generated blocks are the simulator's only driver, so the oracle is the
 per-access reference engine (``engine="ref"``): its accounting is
-dynamic, nothing in it fuses, and it therefore retires one instruction
-per dispatch.  The default driver must match it on every counter under
-record/replay timing, and on every counter the fidelity models in
-counts mode.
+dynamic, nothing is generated for it, and it therefore retires one
+instruction per dispatch.  The default driver must match it on every
+counter under record/replay timing, and on every counter the fidelity
+models in counts mode.  (``tests/test_machine_emitters.py`` holds the
+per-instruction-form conformance.)
 """
 
 import gc
@@ -17,7 +19,7 @@ from repro.errors import ExecutionLimitExceeded, SegmentationFault
 from repro.isa.assembler import Assembler
 from repro.isa.operands import Imm, Mem
 from repro.isa.registers import regs, zmm
-from repro.machine import Cpu, CpuConfig, Machine, Memory, ThreadSpec
+from repro.machine import Cpu, CpuConfig, Machine, Memory, ThreadSpec, fused
 
 from tests.conftest import DRIVER_CPUS, REF_CPU, comparable
 
@@ -224,6 +226,57 @@ class TestFusedEquivalence:
             assert np.array_equal(out, expected)
             assert (comparable(fused.counters, config)
                     == comparable(stepped.counters, config))
+
+
+class TestGeneratedSourceCache:
+    """JIT programs bake operand addresses in as immediates, so a
+    process simulating a stream of distinct matrices generates new block
+    source for each: the process-wide cache must stay bounded, and
+    dropping it must be invisible."""
+
+    CAP = 8
+
+    @staticmethod
+    def baked_program(data_base: int, out_base: int, k: int):
+        asm = Assembler(f"baked{k}")
+        asm.mov(regs.rax, Imm(data_base + 8 * k, 64))
+        asm.mov(regs.rbx, Mem(regs.rax, size=8))
+        asm.add(regs.rbx, k)
+        asm.mov(regs.rdx, Imm(out_base, 64))
+        asm.mov(Mem(regs.rdx, size=8), regs.rbx)
+        asm.ret()
+        return asm.finish()
+
+    def outcomes(self, k: int):
+        """Program ``k`` on the oracle and both drivers: the stored
+        result and every comparable counter."""
+        mem, db, ob, out, _ = setup_memory(64)
+        program = self.baked_program(db, ob, k)
+        found = []
+        for config in (REF_CPU, *DRIVER_CPUS):
+            out[0] = 0
+            cpu, _ = run_cpu(config, program, mem)
+            found.append((int(out[0]), cpu.counters))
+            assert len(fused._BLOCK_BUILDERS) <= self.CAP
+        return found
+
+    def test_cache_is_bounded_and_a_clear_changes_nothing(self, monkeypatch):
+        monkeypatch.setattr(fused, "_BLOCK_BUILDERS_CAP", self.CAP)
+        monkeypatch.setattr(fused, "_BLOCK_BUILDERS", {})
+        first = self.outcomes(0)
+        generated = set(fused._BLOCK_BUILDERS)
+        for k in range(5 * self.CAP):       # far more programs than the cap
+            (value, ref), *drivers = self.outcomes(k)
+            assert value == k + 1 + k
+            for config, (got, counters) in zip(DRIVER_CPUS, drivers):
+                assert got == value
+                assert comparable(counters, config) == comparable(ref, config)
+        # program 0's blocks were dropped on the way ...
+        assert not generated & set(fused._BLOCK_BUILDERS)
+        # ... and regenerating them reproduces the first run exactly
+        again = self.outcomes(0)
+        assert ([(value, counters.as_dict()) for value, counters in again]
+                == [(value, counters.as_dict()) for value, counters in first])
 
 
 class TestCompiledCacheKeying:

@@ -7,7 +7,8 @@ from repro.errors import ExecutionLimitExceeded
 from repro.isa.assembler import Assembler
 from repro.isa.operands import Imm, Mem
 from repro.isa.registers import regs
-from repro.machine import CpuConfig, Machine, Memory, ThreadSpec
+from repro.machine import Cpu, CpuConfig, Machine, Memory, ThreadSpec, smp
+from repro.machine.cpu import UNBOUNDED_QUANTUM
 from repro.machine.smp import THREAD_OVERHEAD_CYCLES
 
 from tests.conftest import DRIVER_CPUS, REF_CPU, comparable
@@ -258,6 +259,52 @@ class TestWorkPartitioning:
         assert len(per_thread) == 4
         # per-thread counters sum into merged (except cycles)
         assert merged.instructions == sum(c.instructions for c in per_thread)
+
+
+class TestSingleThread:
+    """One thread has nobody to interleave with: the machine drives it
+    in one unbounded turn, whatever its quantum."""
+
+    @staticmethod
+    def run(monkeypatch, config, quantum, threads=1):
+        cpus = []
+
+        class SpyCpu(Cpu):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.turns = []
+                cpus.append(self)
+
+            def run_quantum(self, quantum):
+                self.turns.append(quantum)
+                super().run_quantum(quantum)
+
+        monkeypatch.setattr(smp, "Cpu", SpyCpu)
+        mem = Memory()
+        data = np.arange(100, dtype=np.int64)
+        out = np.zeros(threads, dtype=np.int64)
+        program = range_sum_program(mem.map_array(data), mem.map_array(out))
+        merged, per_thread = Machine(mem, config, quantum=quantum).run([
+            ThreadSpec(program, init_gpr={"rdi": 3, "rsi": 90, "rdx": t})
+            for t in range(threads)])
+        state = ([comparable(c, config) for c in (merged, *per_thread)],
+                 [list(cpu.gpr) for cpu in cpus], out.tobytes())
+        return state, [cpu.turns for cpu in cpus]
+
+    @pytest.mark.parametrize("config", (*DRIVER_CPUS, REF_CPU),
+                             ids=("sim", "counts", "sim-ref"))
+    def test_any_quantum_gives_the_same_run(self, monkeypatch, config):
+        reference, _ = self.run(monkeypatch, config, 64)
+        assert reference[2] == np.array([sum(range(3, 90))]).tobytes()
+        for quantum in (1, 7, 64, 100_000):
+            state, turns = self.run(monkeypatch, config, quantum)
+            assert state == reference, quantum
+            assert turns == [[UNBOUNDED_QUANTUM]]
+
+    def test_two_threads_still_take_turns_of_the_quantum(self, monkeypatch):
+        _, turns = self.run(monkeypatch, CpuConfig(timing=False), 7,
+                            threads=2)
+        assert all(len(t) > 1 and set(t) == {7} for t in turns)
 
 
 class TestTiming:
