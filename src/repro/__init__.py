@@ -9,12 +9,13 @@ Public API highlights:
   registry of systems (``"jit"``, ``"aot:<personality>"``, ``"mkl"``,
   plus anything you :func:`repro.register`) behind one prepare → bind →
   execute pipeline with a validated :class:`repro.ExecutionConfig`;
-* :mod:`repro.exec` — execution backends: ``"native"`` (host-speed
-  numpy), ``"counts"`` (functional + event counters), ``"sim"``
+* :mod:`repro.exec` — execution backends: ``"native"`` (the host CPU:
+  generated code called through ``ctypes``, scipy for template
+  systems), ``"counts"`` (functional + event counters), ``"sim"``
   (cycle-accurate), ``"sim-ref"`` (its per-access conformance oracle),
   selected via ``ExecutionConfig.backend`` / ``repro.run(backend=...)``
   and extensible via :func:`repro.register_backend`;
-* :class:`repro.JitSpMM` — the JIT SpMM engine (fast numpy backend and
+* :class:`repro.JitSpMM` — the JIT SpMM engine (fast host product and
   simulator-backed profiling);
 * :class:`repro.CsrMatrix` — CSR sparse matrices;
 * :mod:`repro.datasets` — scaled synthetic twins of the paper's 14

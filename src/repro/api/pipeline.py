@@ -14,9 +14,11 @@ The paper itself distinguishes the phases this module reifies:
 * **execute** — ``plan.execute()`` resolves an execution backend from
   the :mod:`repro.exec` registry (``config.backend``, or per-call
   ``backend=`` / legacy ``timing=`` overrides) and returns that
-  backend's :class:`repro.core.runner.RunResult` — host-speed numpy
-  (``"native"``), functional counting (``"counts"``), or cycle-accurate
-  simulation (``"sim"``, with ``"sim-ref"`` as its per-access oracle).
+  backend's :class:`repro.core.runner.RunResult` — the host CPU
+  (``"native"``: the plan's own generated kernel where it has a host
+  form, :meth:`BoundPlan.host_kernel`, else the scipy template),
+  functional counting (``"counts"``), or cycle-accurate simulation
+  (``"sim"``, with ``"sim-ref"`` as its per-access oracle).
 
 Systems differ in *when* their kernel exists.  Address-free templates
 (AOT personalities, the MKL-like kernel read operands from a parameter
@@ -36,10 +38,15 @@ import threading
 
 import numpy as np
 
-from repro.core.engine import check_operands, multiply_partitioned
+from repro.core.engine import (
+    check_operands,
+    check_ranges,
+    multiply_partitioned,
+)
 from repro.core.runner import RunResult
-from repro.errors import ReproError, ShapeError
+from repro.errors import HostUnsupported, ReproError, ShapeError
 from repro.exec import canonical_name, get_backend
+from repro.exec.host import count_fallback
 from repro.obs.trace import span as _span
 
 from repro.api.config import ExecutionConfig
@@ -107,6 +114,19 @@ class System(abc.ABC):
     @abc.abstractmethod
     def kernel_nbytes(self, kernel) -> int:
         """Cache-accounting size of one compiled kernel."""
+
+    def build_host_kernel(self, plan: "BoundPlan"):
+        """Generate and load the code that computes ``plan``'s product
+        on the host CPU; returns a callable ``kernel(x) -> y`` carrying
+        ``codegen_seconds`` and ``d`` (the one ``X`` width it was
+        generated for), or ``None`` when this system's native
+        product is the address-free scipy template (the default: AOT
+        personalities and the MKL-like kernel are templates, and what a
+        template computes on the host is what scipy already is).  May
+        raise :class:`~repro.errors.HostUnsupported`; the plan then
+        falls back to the template and counts the reason.
+        """
+        return None
 
     def prepare_key(self, config: ExecutionConfig):
         """Cache identity known at prepare time (address-free systems);
@@ -260,6 +280,10 @@ class Artifact:
         return plan
 
 
+#: :attr:`BoundPlan._host` before the first native use
+_UNBUILT = object()
+
+
 class BoundPlan:
     """Stage-2 output: one problem bound to one artifact, ready to run.
 
@@ -269,7 +293,9 @@ class BoundPlan:
     operands and partitions work, and the mapping is materialized the
     first time something actually reads it (kernel identity resolution
     or a simulated-machine backend).  A ``repro.run(..., backend=
-    "native")`` therefore never maps the address space it never reads.
+    "native")`` therefore never maps the address space it never reads —
+    it runs :meth:`host_kernel`, the plan's own code for the host CPU,
+    generated on first native use and unmapped when the plan goes.
     Reusable across same-shaped requests: :meth:`refresh` writes a new
     ``X`` into the (possibly mapped) buffer and re-arms the dispatcher,
     and :meth:`execute` re-runs the identical instruction stream.
@@ -293,6 +319,7 @@ class BoundPlan:
         self.kernel = None
         self.cache_hit = False
         self.codegen_seconds = 0.0
+        self._host = _UNBUILT
         self._operands = operands
         if operands is not None:
             # eager binding (third-party systems): host views come from
@@ -309,6 +336,10 @@ class BoundPlan:
         # run that finalization twice — the same lock also serializes
         # lazy operand materialization
         self._attach_lock = threading.Lock()
+        # the host kernel has its own: generating it must neither stall
+        # a concurrent profile() mapping operands nor deadlock a system
+        # whose build_host_kernel reads plan.operands
+        self._host_lock = threading.Lock()
 
     @property
     def key(self):
@@ -374,6 +405,46 @@ class BoundPlan:
         return self
 
     # ------------------------------------------------------------------
+    def host_kernel(self):
+        """The code this plan runs on the host CPU, or ``None`` when
+        its native product is the scipy template (see
+        :meth:`resolve_host_kernel`)."""
+        return self.resolve_host_kernel()[0]
+
+    def resolve_host_kernel(self) -> tuple[object, bool]:
+        """``(host_kernel, generated)``: build the plan's host kernel
+        on first use — once per plan, whichever thread gets here first
+        — and say whether *this* call ran the code generator (so a
+        caller can charge the codegen to exactly one request).  Once
+        built the answer is one lock-free attribute read.
+
+        The plan's row ranges are checked against the matrix first, as
+        the template path checks them on every call: the generated
+        kernel runs ``[0, m)`` on the calling thread, and a split
+        configuration that fails to tile the rows must fail identically
+        on either path.  A host that cannot run the code
+        (:class:`~repro.errors.HostUnsupported`) is counted and leaves
+        the plan on the template for good.
+        """
+        if self._host is not _UNBUILT:
+            return self._host, False
+        generated = False
+        with self._host_lock:
+            if self._host is _UNBUILT:
+                with _span("pipeline.host_kernel",
+                           system=self.system_name) as sp:
+                    check_ranges(self.matrix, self.ranges)
+                    try:
+                        kernel = self.artifact.system.build_host_kernel(self)
+                    except HostUnsupported as error:
+                        count_fallback(error)
+                        kernel = None
+                    generated = kernel is not None
+                    sp.annotate(generated=generated)
+                    self._host = kernel
+        return self._host, generated
+
+    # ------------------------------------------------------------------
     def refresh(self, x) -> "BoundPlan":
         """Load a new same-shaped ``X`` into the bound address space.
 
@@ -436,7 +507,13 @@ class BoundPlan:
 
     # ------------------------------------------------------------------
     def multiply(self, x) -> np.ndarray:
-        """Fast-path ``Y = A @ x``: one host call, checked against this
-        plan's row ranges."""
+        """Fast-path ``Y = A @ x``: one call of the plan's host kernel
+        (or of the scipy template, checked against this plan's row
+        ranges).  The kernel has the plan's ``d`` baked in; an ``x`` of
+        any other width — legal here, unlike :meth:`refresh` — is the
+        template's to answer."""
         x = check_operands(self.matrix, x)
-        return multiply_partitioned(self.matrix, x, self.ranges)
+        kernel = self.host_kernel()
+        if kernel is None or x.shape[1] != kernel.d:
+            return multiply_partitioned(self.matrix, x, self.ranges)
+        return kernel(x)

@@ -39,6 +39,7 @@ from repro.core.runner import (
     resolve_jit_dispatch,
 )
 from repro.core.split import partition
+from repro.exec.host import build_host_kernel
 from repro.machine import ThreadSpec
 from repro.obs.trace import span as _span
 from repro.serve.cache import aot_key, jit_key, mkl_key
@@ -57,7 +58,9 @@ class JitPlan(BoundPlan):
 
     The kernel's cache identity bakes the mapped base addresses, so
     resolving :attr:`key` materializes the address space; a plan served
-    purely by the ``"native"`` backend never does either.
+    purely by the ``"native"`` backend never does either — it runs
+    :meth:`JitSystem.build_host_kernel`'s code, which bakes the real
+    addresses of the matrix arrays instead.
     """
 
     def __init__(self, artifact: Artifact, matrix, x, *, split: str,
@@ -152,6 +155,13 @@ class JitSystem(System):
 
     def kernel_nbytes(self, kernel) -> int:
         return kernel.code_bytes
+
+    def build_host_kernel(self, plan: JitPlan):
+        # always the range kernel over [0, m) on the caller's thread,
+        # whatever the plan's simulated dispatch: the dynamic kernel's
+        # shared NEXT counter would make the code page single-use
+        with _span("codegen.jit", host=True, d=plan.d):
+            return build_host_kernel(plan.matrix, plan.d)
 
     def tier_template(self, config):
         # the MKL-like template binds with partitioning only — no

@@ -17,6 +17,7 @@ from repro.bench.fig9 import run_fig9
 from repro.bench.fig10 import run_fig10
 from repro.bench.fig11 import run_fig11
 from repro.bench.harness import BenchConfig
+from repro.bench.hw import run_hw
 from repro.bench.obsoverhead import run_obsoverhead
 from repro.bench.passsearch import run_passsearch
 from repro.bench.servethroughput import run_servethroughput
@@ -38,6 +39,7 @@ EXPERIMENTS = {
     "obsoverhead": run_obsoverhead,
     "passsearch": run_passsearch,
     "chaos": run_chaos,
+    "hw": run_hw,
 }
 
 

@@ -16,7 +16,7 @@ the simulator's performance trajectory is tracked per commit; the CI
 step fails the build when the replay-backed ``sim`` drops below the 3x
 acceptance target over ``sim-ref``.
 
-``native`` rows report wall time only — the numpy backend retires no
+``native`` rows report wall time only — the host backend retires no
 simulated instructions, so instructions/sec is not defined for it.
 """
 

@@ -49,10 +49,20 @@ class JitKernelSpec:
             point of the JIT approach).
         m: Number of sparse rows.
         row_ptr_addr / col_addr / vals_addr / x_addr / y_addr: Base
-            addresses of the five arrays in the simulated address space.
+            addresses of the five arrays (simulated address space, or
+            real pointers for a host kernel).  ``x_addr`` / ``y_addr``
+            may be ``None``: the base then arrives in the register the
+            plan keeps it in anyway — ``r8`` / ``r9``, SysV arguments
+            five and six — so one code page serves any ``X`` / ``Y``
+            (the host form, :mod:`repro.exec.host`).
         next_addr: Address of the shared NEXT counter (dynamic dispatch).
         batch: Dynamic dispatch batch size.
         isa: ISA level to generate for.
+        fused: Accumulate with ``vfmadd231`` where the ISA has it.
+            False selects the multiply-then-add path on every ISA: two
+            roundings per term, which is what the simulator, scipy and
+            ``spmm_reference`` compute — hardware FMA rounds once, so
+            only the unfused kernel is bit-identical to them on silicon.
     """
 
     d: int
@@ -60,11 +70,12 @@ class JitKernelSpec:
     row_ptr_addr: int
     col_addr: int
     vals_addr: int
-    x_addr: int
-    y_addr: int
+    x_addr: int | None
+    y_addr: int | None
     next_addr: int = 0
     batch: int = DEFAULT_BATCH
     isa: IsaLevel = IsaLevel.AVX512
+    fused: bool = True
 
     @property
     def spec(self) -> IsaSpec:
@@ -155,10 +166,10 @@ class JitCodegen:
 
     def _emit_accumulate(self, asm: Assembler, layout: RowLayout,
                          piece, mem: Mem) -> None:
-        isa = self.spec.spec
+        fma = self.spec.fused and self.spec.spec.has_fma
         bcast = layout.broadcast
         if piece.is_scalar:
-            if isa.has_fma:
+            if fma:
                 asm.vfmadd231ss(xmm(piece.code), xmm(layout.broadcast_code), mem)
             else:
                 scratch = xmm(layout.scratch_code)
@@ -166,10 +177,11 @@ class JitCodegen:
                 asm.vaddss(xmm(piece.code), xmm(piece.code), scratch)
         else:
             reg = piece.register
-            if isa.has_fma:
+            if fma:
                 asm.vfmadd231ps(reg, bcast.with_width(reg.width), mem)
             else:
-                # pre-FMA path (SSE2-class): multiply into scratch, add
+                # unfused path (pre-FMA ISAs, exact host kernels):
+                # multiply into scratch, add
                 scratch = xmm(layout.scratch_code).with_width(reg.width)
                 asm.vmulps(scratch, bcast.with_width(reg.width), mem)
                 asm.vaddps(reg, reg, scratch)
@@ -182,8 +194,10 @@ class JitCodegen:
         asm.mov(regs.rax, Imm(spec.row_ptr_addr, 64))
         asm.mov(regs.rbx, Imm(spec.col_addr, 64))
         asm.mov(regs.rcx, Imm(spec.vals_addr, 64))
-        asm.mov(regs.r8, Imm(spec.x_addr, 64))
-        asm.mov(regs.r9, Imm(spec.y_addr, 64))
+        if spec.x_addr is not None:
+            asm.mov(regs.r8, Imm(spec.x_addr, 64))
+        if spec.y_addr is not None:
+            asm.mov(regs.r9, Imm(spec.y_addr, 64))
 
     # ------------------------------------------------------------------
     # Range kernel: rows [rsi, rdx)

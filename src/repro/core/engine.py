@@ -3,9 +3,10 @@
 :class:`JitSpMM` wraps the whole workflow — assembly code generation,
 thread spawning, execution, result joining — behind two entry points:
 
-* :meth:`JitSpMM.multiply` — compute ``Y = A @ X`` with the ``"native"``
-  execution backend (same partitioning logic, one host-speed C call);
-  use this in applications;
+* :meth:`JitSpMM.multiply` — compute ``Y = A @ X`` on the host (same
+  partitioning logic, one scipy C call — a one-shot call has no plan
+  to amortize a generated kernel over; :class:`repro.serve.SpmmService`
+  and bound plans run their own JIT kernel); use this in applications;
 * :meth:`JitSpMM.profile` — generate the specialized kernel and execute
   it on a simulator backend (``"sim"`` / ``"counts"`` / ``"sim-ref"``
   from the :mod:`repro.exec` registry), returning the perf counters the
@@ -14,7 +15,7 @@ thread spawning, execution, result joining — behind two entry points:
 :meth:`JitSpMM.run` is the engine's single pipeline-dispatch path;
 ``profile`` forwards to it, and ``multiply`` runs the identical shared
 arithmetic (:func:`multiply_partitioned` over the resolved partitions,
-exactly what the native executor does) without binding a simulated
+the native executor's template path) without binding a simulated
 address space the host-speed product would never read.
 
 Example::
@@ -58,7 +59,7 @@ from repro.sparse.csr import CsrMatrix
 from repro.sparse.ops import spmm_reference
 
 __all__ = ["JitSpMM", "SPLITS", "SpmmResult", "check_operands",
-           "fast_check_operands", "multiply_partitioned"]
+           "check_ranges", "fast_check_operands", "multiply_partitioned"]
 
 SpmmResult = RunResult  # public alias
 
@@ -115,19 +116,10 @@ except ImportError:  # pragma: no cover - scipy ships with the test env
     _scipy_sparse = None
 
 
-def multiply_partitioned(matrix: CsrMatrix, x: np.ndarray,
-                         ranges: list[tuple[int, int]]) -> np.ndarray:
-    """Host fast path: ``A @ X`` over the plan's row ranges, in one call.
-
-    Shared by :meth:`JitSpMM.multiply`, the native executor and the
-    serving subsystem.  Rows are independent and every kernel here
-    accumulates an output element in ascending non-zero order, so the
-    product over contiguous ranges covering ``[0, nrows)`` — the
-    partitioners' contract — *is* the whole product, bit for bit: the
-    ranges are checked, then the matrix's prepared scipy handle
-    (:meth:`CsrMatrix.to_scipy`, built once per matrix) does the work
-    in a single C call (``spmm_reference`` without scipy).
-    """
+def check_ranges(matrix: CsrMatrix, ranges: list[tuple[int, int]]) -> None:
+    """Raise :class:`ShapeError` unless ``ranges`` are contiguous and
+    cover ``[0, nrows)`` — the partitioners' contract, under which the
+    product over the ranges *is* the whole product."""
     end = 0
     for r0, r1 in ranges:
         if r0 != end or r1 < r0:
@@ -137,6 +129,28 @@ def multiply_partitioned(matrix: CsrMatrix, x: np.ndarray,
     if end != matrix.nrows:
         raise ShapeError(
             f"row ranges {list(ranges)} do not tile [0, {matrix.nrows})")
+
+
+def multiply_partitioned(matrix: CsrMatrix, x: np.ndarray,
+                         ranges: list[tuple[int, int]]) -> np.ndarray:
+    """The address-free host template: ``A @ X`` over the plan's row
+    ranges, in one scipy call.
+
+    What the ``"native"`` backend computes for everything that has no
+    generated host kernel of its own (:mod:`repro.exec.host`): plan-less
+    one-shot calls (:meth:`JitSpMM.multiply`), the AOT / MKL template
+    systems, the serving subsystem's template tier, and any plan on a
+    host that cannot run generated code.  Which of the two runs follows
+    from what the plan is, never from an option.  Rows are independent
+    and every kernel here
+    accumulates an output element in ascending non-zero order, so the
+    product over contiguous ranges covering ``[0, nrows)`` — the
+    partitioners' contract — *is* the whole product, bit for bit: the
+    ranges are checked, then the matrix's prepared scipy handle
+    (:meth:`CsrMatrix.to_scipy`, built once per matrix) does the work
+    in a single C call (``spmm_reference`` without scipy).
+    """
+    check_ranges(matrix, ranges)
     if _scipy_sparse is None:
         return spmm_reference(matrix, x)
     return matrix.to_scipy() @ x
@@ -252,11 +266,12 @@ class JitSpMM:
         """Compute ``Y = A @ X`` with the ``"native"`` backend.
 
         Same partitioning as the simulated path (so a bad split
-        configuration fails identically) and the same arithmetic the
-        :class:`~repro.exec.backends.NativeExecutor` runs — but without
-        binding a simulated address space, which a host-speed product
-        never reads (``run(..., backend="native")`` gives the pipeline
-        form when a :class:`RunResult` is wanted).  Bit-equal to the
+        configuration fails identically) and the arithmetic of the
+        :class:`~repro.exec.backends.NativeExecutor`'s template path —
+        a one-shot call binds no plan, so there is no generated kernel
+        to reuse (``run(..., backend="native")`` gives the pipeline
+        form, which generates and runs the plan's host kernel, when a
+        :class:`RunResult` is wanted).  Bit-equal to the
         reference kernel.  Well-formed operands take the hoisted
         fast-path check (:func:`fast_check_operands`) — this is the
         production entry point and its per-call overhead matters.

@@ -56,6 +56,20 @@ class CodegenError(ReproError):
     """The JIT code generator was asked for an unsupported configuration."""
 
 
+class HostUnsupported(ReproError):
+    """Generated code cannot run on this host (:mod:`repro.exec.host`).
+
+    ``reason`` is a short machine-readable slug — ``"arch"``,
+    ``"no-avx"``, ``"mmap"``, ``"mprotect"``, ``"vgatherdps"``, ... —
+    that labels the ``exec_host_fallback_total`` counter when a caller
+    answers with the address-free scipy template instead.
+    """
+
+    def __init__(self, message: str, reason: str = "unsupported"):
+        super().__init__(message)
+        self.reason = reason
+
+
 class DatasetError(ReproError):
     """A dataset name is unknown or a generator was misconfigured."""
 

@@ -10,9 +10,11 @@ across ad hoc booleans (``timing=``, ``JitSpMM.multiply`` vs
 ``repro.run``, :class:`repro.core.engine.JitSpMM`,
 :class:`repro.serve.SpmmService`, and the bench harness.
 
-Built-ins (see :mod:`repro.exec.backends`): ``"native"`` (host-speed
-numpy result), ``"counts"`` (functional + event counters), ``"sim"``
-(cycle-accurate) and ``"sim-ref"`` (its per-access conformance oracle).
+Built-ins (see :mod:`repro.exec.backends`): ``"native"`` (the host CPU:
+a JIT plan's own generated kernel, loaded by :mod:`repro.exec.host`;
+the scipy template otherwise), ``"counts"`` (functional + event
+counters), ``"sim"`` (cycle-accurate) and ``"sim-ref"`` (its per-access
+conformance oracle).
 
 Example::
 

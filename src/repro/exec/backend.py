@@ -56,9 +56,10 @@ class Executor(abc.ABC):
         name: Registry name (``"native"``, ``"counts"``, ``"sim"``,
             ``"sim-ref"``).
         requires_kernel: False when the backend can serve a plan whose
-            kernel was never resolved (the native numpy backend computes
-            the result without generated code; the pipeline then skips
-            codegen and cache probes entirely).
+            kernel was never resolved (the native backend runs the
+            plan's host kernel or the scipy template, never the cached
+            simulated-address program; the pipeline then skips that
+            program's codegen and cache probes entirely).
         provides_result: The returned ``y`` is the product ``A @ X``.
         provides_counters: Event counters (instructions, loads,
             branches, ...) are populated.

@@ -2,10 +2,11 @@
 
 Four backends cover today's speed/fidelity spectrum:
 
-* :class:`NativeExecutor` (``"native"``) — the host-speed product
-  (one C call on the matrix's prepared scipy handle, checked against
-  the plan's tuned row ranges); the production answer path.  No
-  simulated machine, no kernel, no counters.
+* :class:`NativeExecutor` (``"native"``) — the product computed on the
+  host CPU: the plan's own generated kernel (:mod:`repro.exec.host`)
+  where the plan has a host form, else one C call on the matrix's
+  prepared scipy handle; the production answer path.  No simulated
+  machine, no counters.
 * :class:`CountsExecutor` (``"counts"``) — functional execution of the
   generated kernel with event counters (the pre-exec ``timing=False``).
 * :class:`SimExecutor` (``"sim"``) — cycle-accurate via the
@@ -36,13 +37,19 @@ __all__ = ["CountsExecutor", "NativeExecutor", "SimExecutor",
 
 
 class NativeExecutor(Executor):
-    """Host-speed evaluation of the plan's product.
+    """The plan's product, computed on the host CPU.
 
-    :func:`~repro.core.engine.multiply_partitioned` checks the plan's
-    row ranges — the ownership the simulated threads would have, so a
-    bad split configuration fails identically — and computes the whole
-    product in one call; it becomes the plan's live ``Y`` buffer.
-    Bit-equal to the reference kernel.
+    What runs is decided by what the plan is: a JIT plan on an x86-64
+    host runs :meth:`~repro.api.BoundPlan.host_kernel` — its own range
+    kernel, generated for this CPU on first use, over ``[0, m)`` on the
+    calling thread; every other plan (address-free AOT / MKL templates,
+    third-party systems, hosts that cannot run the code) runs the scipy
+    template, :func:`~repro.core.engine.multiply_partitioned`.  Either
+    way the plan's row ranges are checked — the ownership the simulated
+    threads would have, so a bad split configuration fails identically
+    — and the result, bit-equal to the reference kernel, becomes the
+    plan's live ``Y`` buffer.  ``requires_kernel`` stays False: the
+    cached, simulated-address kernel is not what runs here.
     """
 
     name = "native"
@@ -51,7 +58,11 @@ class NativeExecutor(Executor):
     def execute(self, plan) -> RunResult:
         # host-side buffers only: the simulated address space is never
         # read here, and the lazy-binding plans never map it for us
-        y = multiply_partitioned(plan.matrix, plan.x_host, plan.ranges)
+        kernel = plan.host_kernel()
+        if kernel is None:
+            y = multiply_partitioned(plan.matrix, plan.x_host, plan.ranges)
+        else:
+            y = kernel(plan.x_host)
         if plan.mapped:
             plan.y_host[:] = y  # Y is aliased by the mapped segment
         else:

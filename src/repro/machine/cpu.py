@@ -35,15 +35,24 @@ steps otherwise: at odd entry points, for quantum or limit residues
 smaller than a block, and for every instruction of the reference
 engine, whose dynamic accounting leaves nothing to generate.
 
-Semantics notes (documented deviations, none observable by the kernels
-this library generates):
+Semantics notes (documented deviations; on the simulator none is
+observable by the kernels this library generates — the FMA one is
+observable on silicon, see below):
 
 * Integer registers hold exact Python integers; flags are computed from
   exact arithmetic rather than mod-2^64 wraparound.  Kernel arithmetic
   (addresses, indices, counters) never wraps.
 * ``vfmadd231ps`` rounds twice (multiply then add) because numpy has no
-  fused primitive; the float32 error is below the tolerances the tests
-  and the paper's workloads care about.
+  fused primitive.  Real hardware rounds once, and now that the
+  generated bytes also run on the host CPU (:mod:`repro.exec.host`) the
+  difference is measured, not assumed: the fused JIT kernel executed on
+  an AVX-512 core lands within 4 ulp of this simulator (and of scipy
+  and ``spmm_reference``, which round twice too) on the dataset twins
+  with the paper's uniform operands — ``BENCH_hw.json``,
+  ``summary.jit_fused_max_ulp`` — ``allclose`` but not bit-identical.
+  That is why the kernel ``SpmmService.multiply`` serves accumulates
+  unfused (``vmulps`` + ``vaddps``): two roundings on silicon, bit for
+  bit what this simulator computes for the fused form.
 * Scalar AVX ops zero the untouched upper lanes of the destination, as
   VEX-encoded scalar ops do.
 """

@@ -4,8 +4,9 @@ The paper's trade-off (Table IV) is codegen time vs. specialized-kernel
 speedup, measured for a single run.  A service turns that into a
 streaming question: register a matrix once, pay autotuning
 (:func:`repro.core.autotune.choose_split`) and code generation on the
-first request, and serve every later request from the
-:class:`~repro.serve.cache.KernelCache` — the amortized codegen
+first request, and serve every later request by *calling the generated
+code* — the plan's host kernel (:mod:`repro.exec.host`), mapped
+executable once and run on the caller's core — so the amortized codegen
 overhead converges to zero as traffic accumulates.
 
 Since the :mod:`repro.api` redesign the service is system-agnostic: it
@@ -25,31 +26,38 @@ overhead the same way codegen overhead was removed:
   kernel cache is a :class:`~repro.serve.cache.ShardedKernelCache`, so
   register/evict traffic on one matrix never stalls multiply traffic on
   another;
-* **every request on its caller's thread** — ``multiply`` is one
-  GIL-free host-kernel call over the workspace's tuned row ranges plus
-  one stats update under the handle's stripe lock; concurrent requests,
-  same ``(handle, d)`` or not, overlap on as many cores as they have
-  callers and none ever sleeps or waits on another request;
+* **every request on its caller's thread** — ``multiply`` is one call
+  of the workspace's generated kernel (re-entrant: ``X`` and ``Y``
+  arrive as arguments, so concurrent requests share one code page)
+  plus one stats update under the handle's stripe lock; kernels long
+  enough to be worth a GIL hand-off run GIL-free and overlap on as many
+  cores as they have callers, and no request ever sleeps or waits on
+  another;
 * **persistent workspaces** — the per-``(handle, d)`` workspaces keep
-  their pre-mapped address spaces across requests (lazy binding means
-  the fast path never maps at all), so a steady-state request allocates
-  nothing beyond the result buffer its caller keeps;
+  their plan — tuned ranges, the host kernel, and for ``profile`` the
+  simulated address space, mapped only when ``profile`` first asks —
+  across requests, so a steady-state request allocates nothing beyond
+  the result buffer its caller keeps;
 * **tiered execution** (``tier_mode``, :mod:`repro.serve.tier`) — cold
-  ``(handle, d)`` workspaces bind the system's cached address-free
+  ``(handle, d)`` workspaces answer from the address-free scipy
   template (no autotune, no codegen: near-instant first request) and
-  are promoted to the specialized plan by a bounded background
-  executor once traffic crosses ``promote_after``; both tiers are
-  bit-identical, and the hot-swap rides the same refcounted kernel-
-  identity guard that already protects unregister/eviction races.
+  are promoted to the plan with its own JIT kernel by a bounded
+  background executor once traffic crosses ``promote_after``; both
+  tiers are bit-identical, and the hot-swap is one assignment under
+  the stripe lock.
 
 Two request paths, mirroring :class:`repro.core.engine.JitSpMM`:
 
-* :meth:`SpmmService.multiply` — production path; numpy fast backend
-  over the tuned partitioning, bit-equal to the generated kernel;
+* :meth:`SpmmService.multiply` — production path: the plan's generated
+  kernel on the host CPU, bit-equal to ``spmm_reference`` (the scipy
+  template where the plan has no host form — address-free systems, the
+  template tier, hosts that cannot run the code);
 * :meth:`SpmmService.profile` — opt-in simulated path that re-executes
-  the *cached* kernel on the persistent per-handle address space
-  (operand segments are zero-copy views, so a new ``X`` is written in
-  place and the baked addresses stay valid).
+  the *cached* simulated-address kernel on the persistent per-handle
+  address space (operand segments are zero-copy views, so a new ``X``
+  is written in place and the baked addresses stay valid); that
+  program and its mapping are built on the first ``profile`` /
+  ``kernel`` call, through the kernel cache, and never by ``multiply``.
 """
 
 from __future__ import annotations
@@ -129,9 +137,15 @@ class MatrixHandle:
 class _Workspace:
     """Per-(handle, d) state: one bound plan + its profile lock."""
 
-    #: the pipeline's stage-2 product: tuned split, mapped persistent
-    #: address space, partitions, and (once resolved) the kernel
+    #: the pipeline's stage-2 product: tuned split and partitions, the
+    #: host kernel ``multiply`` runs, and — once ``profile``/``kernel``
+    #: asked for them — the persistent simulated address space and the
+    #: cached kernel bound to it
     plan: object
+    #: the cached-kernel identity this workspace holds a reference on
+    #: (``plan.key``); None until ``profile``/``kernel`` resolves it —
+    #: ``multiply`` never does.  Set under the owning stripe lock.
+    identity: object = None
     #: monotonic recency stamp (service-wide clock): reproduces the
     #: global LRU order across stripes for workspace-cap eviction
     touched: int = 0
@@ -305,7 +319,7 @@ class SpmmService:
             any :func:`repro.exec.get_backend`-resolvable name
             (``"counts"``, ``"sim"``, ``"sim-ref"``, ...); ``None``
             defers to ``timing``.  ``multiply`` always serves on the
-            ``"native"`` backend.  Per-request overrides win;
+            ``"native"`` backend (the host CPU).  Per-request overrides win;
             :meth:`report` breaks traffic down per backend.
         cache: Shared kernel cache (:class:`KernelCache` or
             :class:`~repro.serve.cache.ShardedKernelCache`); when
@@ -319,9 +333,11 @@ class SpmmService:
             any :func:`repro.api.get_system`-resolvable name works —
             the service's workspaces are that system's bound plans).
         max_workspaces: Cap on live (handle, d) workspaces (None =
-            unbounded).  Evicting a workspace releases its mapped
-            operand copies but not its cached kernel, so a re-requested
-            shape pays re-mapping, never re-codegen.  Enforced strictly
+            unbounded).  Evicting a workspace unmaps its host kernel
+            and releases its mapped operand copies, but not the cached
+            kernel ``profile`` simulates: a shape that comes back
+            regenerates the former and re-maps for the latter.
+            Enforced strictly
             over the service-wide count with least-recently-used
             eviction across stripes (monotonic touch stamps order
             recency globally); the just-touched workspace is never its
@@ -336,10 +352,11 @@ class SpmmService:
         tier_mode: Tiered execution (:mod:`repro.serve.tier`):
             ``"off"`` (default) specializes inline on the first request
             per (handle, d); ``"lazy"`` serves cold workspaces from the
-            system's address-free template tier (near-instant first
-            request, bit-identical results) and promotes to the
-            specialized plan in the background after ``promote_after``
-            requests; ``"eager"`` promotes on the first request.
+            address-free scipy template (near-instant first request,
+            bit-identical results) and promotes to the plan running
+            its own JIT kernel in the background after
+            ``promote_after`` requests; ``"eager"`` promotes on the
+            first request.
             Inert for systems with no faster template
             (:meth:`repro.api.System.tier_template` returns None).
         promote_after: Template-tier request count that schedules a
@@ -356,16 +373,15 @@ class SpmmService:
             metrics (:mod:`repro.obs`); defaults to a process-unique
             ``spmmN``.
 
-    Resource model: the kernel cache's byte budget bounds *compiled
-    code*; each live (handle, d) pair additionally pins a workspace
-    (mapped operand copies sized by the matrix and width), bounded by
-    ``max_workspaces``.  ``multiply`` always ensures the kernel exists
-    (codegen on first use or after an eviction) so the cached program
-    stays warm for ``profile`` and the codegen-once-per-identity
-    accounting holds — except on a tiered service, where the fast path
-    never resolves a kernel at all (the shared template kernel, and a
-    promoted workspace's specialized kernel, resolve on first
-    ``profile``/``kernel`` use or at promotion).
+    Resource model: each live (handle, d) pair pins a workspace — one
+    page of executable memory for its host kernel (unmapped when the
+    workspace goes and its last in-flight request returns) and, once
+    profiled, mapped operand copies sized by the matrix and width —
+    bounded by ``max_workspaces``; the kernel cache's byte budget
+    bounds the simulated-address programs ``profile``/``kernel``
+    resolve.  ``multiply`` pays exactly one codegen per (handle, d) on
+    the request path — for the code it executes — and none on the
+    template tier, whose promotion generates it in the background.
     """
 
     def __init__(
@@ -554,7 +570,7 @@ class SpmmService:
                            for key in list(stripe.workspaces)
                            if key[0] == handle.handle_id]
             for ws in dropped:
-                self._release_identity(ws.plan.key, drop_kernel=True)
+                self._release_identity(ws.identity, drop_kernel=True)
 
     def handle_stats(self, handle: MatrixHandle) -> HandleStats:
         """The request statistics accumulated for ``handle``."""
@@ -577,15 +593,17 @@ class SpmmService:
     # Kernel identity bookkeeping (refcounted across stripes)
     # ------------------------------------------------------------------
     def _release_identity(self, key, drop_kernel: bool = False) -> None:
-        """Drop one reference to a kernel identity.
+        """Drop one reference to a kernel identity (no-op for ``None``:
+        a workspace only ``multiply`` ever touched holds none).
 
-        Every removed workspace releases its plan's identity here.
+        Every removed workspace releases its identity here.
         When the last workspace carrying an identity goes, its codegen
         lock is dropped (so heavy shape churn cannot grow ``_keylocks``
         without bound) and — ``drop_kernel``: on unregister/close of a
         service-private cache — so is the cached kernel.  Eviction
-        keeps the kernel warm: a re-requested shape pays re-mapping,
-        never re-codegen.
+        keeps the cached kernel warm: a re-profiled shape pays
+        re-mapping, never re-codegen (its host kernel is the plan's and
+        goes with it).
 
         Promotion releases the swapped-out template identity through
         here too — but the shared template kernel itself is never
@@ -593,6 +611,8 @@ class SpmmService:
         promotion is not unregistration, and the next cold register
         must still bind near-instantly.
         """
+        if key is None:
+            return
         with self._keylock_guard:
             refs = self._key_refs.get(key, 0) - 1
             if refs > 0:
@@ -603,14 +623,6 @@ class SpmmService:
             if (drop_kernel and self._private_cache
                     and key != self._template_key):
                 self.cache.discard(key)
-
-    def _prune_keylock(self, key) -> None:
-        """Drop a codegen lock created for an identity that never
-        landed (stale or failed promotion), unless some workspace
-        legitimately carries that identity."""
-        with self._keylock_guard:
-            if not self._key_refs.get(key):
-                self._keylocks.pop(key, None)
 
     # ------------------------------------------------------------------
     # Workspace resolution
@@ -625,8 +637,8 @@ class SpmmService:
                 handle.matrix, x0, ensure_kernel=False,
                 name_prefix="serve")
             return _Workspace(plan=plan, tier=TIER_TEMPLATE)
-        # stage 2 only: autotune + operand mapping + partitioning; the
-        # kernel stays unresolved so plan inspection costs no codegen
+        # stage 2 only: autotune + partitioning; nothing is mapped or
+        # generated until a request needs it
         plan = self._artifact.bind(handle.matrix, x0, ensure_kernel=False,
                                    name_prefix="serve")
         return _Workspace(plan=plan)
@@ -636,7 +648,7 @@ class SpmmService:
         """Get or create the tuned workspace for (handle, d) — no codegen.
 
         Returns ``(workspace, created)``; created marks the first
-        request for this (handle, d), which paid autotune + mapping.
+        request for this (handle, d), which paid autotune.
         """
         self._validate_handle(handle)
         key = (handle.handle_id, d)
@@ -647,14 +659,10 @@ class SpmmService:
                 stripe.workspaces.move_to_end(key)
                 ws.touched = next(self._ws_clock)
                 return ws, False
-        # autotune + operand mapping happen outside the stripe lock; a
-        # concurrent duplicate loses the setdefault race and is simply
-        # dropped.  The kernel identity is resolved here too (it bakes
-        # the mapped addresses), so the refcount below pairs exactly
-        # with the insertion.
+        # autotune happens outside the stripe lock; a concurrent
+        # duplicate loses the setdefault race and is simply dropped
         with _span("serve.bind", handle=handle.handle_id, d=d):
             built = self._make_workspace(handle, d)
-        identity = built.plan.key
         with stripe.lock:
             # re-check liveness: an unregister() racing with us must
             # not be followed by an insertion it can never sweep
@@ -662,13 +670,9 @@ class SpmmService:
             ws = stripe.workspaces.setdefault(key, built)
             stripe.workspaces.move_to_end(key)
             ws.touched = next(self._ws_clock)
-            if ws is built:
-                with self._keylock_guard:
-                    self._key_refs[identity] = (
-                        self._key_refs.get(identity, 0) + 1)
         if ws is built:
             for victim in self._enforce_workspace_cap(protect=ws):
-                self._release_identity(victim.plan.key)
+                self._release_identity(victim.identity)
         return ws, ws is built
 
     def _enforce_workspace_cap(self,
@@ -682,7 +686,9 @@ class SpmmService:
         ``protect`` — the workspace whose insertion triggered the pass
         — is never a victim, so an insertion cannot evict itself.
         In-flight requests holding an evicted workspace complete
-        against their reference, and the kernel cache is untouched.
+        against their reference (which is also what keeps its host
+        kernel mapped until they return), and the kernel cache is
+        untouched.
         """
         if self.max_workspaces is None:
             return []
@@ -717,7 +723,10 @@ class SpmmService:
         return victims
 
     def _resolve(self, handle: MatrixHandle, d: int):
-        """Workspace + plan + kernel for (handle, d).
+        """Workspace + plan + cached kernel for (handle, d): what
+        ``profile`` simulates and ``kernel`` returns — the program bound
+        to the workspace's simulated address space, which this call
+        maps on first use.  ``multiply`` never comes here.
 
         Returns ``(workspace, plan, kernel, codegen_seconds, cold,
         generated)`` — ``plan`` is the workspace's plan captured once
@@ -725,13 +734,15 @@ class SpmmService:
         plan this request resolved); generated is True iff kernel
         construction ran in this call (the kernel was not served from
         the cache); cold is True when the request paid one-time setup:
-        the first request for this (handle, d) (autotune + operand
-        mapping, even if the kernel itself was already cached under a
-        shared key) or a kernel construction run (first use, or
-        regeneration after eviction).
+        the first request for this (handle, d) (autotune, even if the
+        kernel itself was already cached under a shared key) or a
+        kernel construction run (first use, or regeneration after
+        eviction).
         """
         ws, created = self._workspace(handle, d)
         plan = ws.plan
+        if ws.identity is None:
+            self._retain_identity(handle, d, ws, plan)
         # the plan's own system builds/sizes its kernel: on a tiered
         # service the template tier's plans belong to the template
         # system, not the served one
@@ -770,17 +781,37 @@ class SpmmService:
                     self.cache.put(plan.key, kernel,
                                    system.kernel_nbytes(kernel))
         plan.attach_kernel(kernel, cache_hit=False, codegen_seconds=seconds)
-        with self._stripe(handle.handle_id).lock:
-            self.stats.handle(handle.handle_id, handle.name).record_codegen(
-                seconds)
+        self._record_codegen(handle, seconds)
         return ws, plan, kernel, seconds, True, True
 
+    def _retain_identity(self, handle: MatrixHandle, d: int,
+                         ws: _Workspace, plan) -> None:
+        """Take the workspace's reference on ``plan``'s cached-kernel
+        identity (resolving it maps the simulated operands, outside any
+        lock).  Only a workspace that is still live, and still on this
+        plan, holds one: removal and promotion read ``ws.identity``
+        under the same stripe lock, so a reference is never taken
+        behind a sweep that could no longer release it."""
+        identity = plan.key
+        stripe = self._stripe(handle.handle_id)
+        with stripe.lock:
+            if (ws.identity is None and ws.plan is plan
+                    and stripe.workspaces.get(
+                        (handle.handle_id, d)) is ws):
+                with self._keylock_guard:
+                    self._key_refs[identity] = (
+                        self._key_refs.get(identity, 0) + 1)
+                ws.identity = identity
+
     def kernel(self, handle: MatrixHandle, d: int):
-        """The (cached) compiled kernel serving (handle, d) requests.
+        """The cached kernel ``profile`` simulates for (handle, d): the
+        system's program bound to the workspace's simulated address
+        space (``multiply`` runs the plan's host kernel instead, see
+        :meth:`repro.api.BoundPlan.host_kernel`).
 
         Usable as a prefetch: generation triggered here is charged to
         the handle's codegen stats like any cold request, so later
-        ``multiply`` calls are warm.  On a tiered service this is the
+        ``profile`` calls are warm.  On a tiered service this is the
         kernel of the workspace's *current* tier.
         """
         _, _, kernel, _, _, _ = self._resolve(handle, d)
@@ -789,7 +820,7 @@ class SpmmService:
     def choice(self, handle: MatrixHandle, d: int) -> SplitChoice | None:
         """The autotuner's verdict for (handle, d); None for fixed splits.
 
-        Tunes (and maps operands) if this (handle, d) is new, but never
+        Tunes if this (handle, d) is new, but never maps operands or
         generates code — inspecting the plan costs no codegen.
         """
         ws, _ = self._workspace(handle, d)
@@ -872,6 +903,11 @@ class SpmmService:
                         ws.tier = TIER_TEMPLATE
                 self.tier_stats.finish("stale")
 
+    def _record_codegen(self, handle: MatrixHandle, seconds: float) -> None:
+        with self._stripe(handle.handle_id).lock:
+            self.stats.handle(handle.handle_id, handle.name).record_codegen(
+                seconds)
+
     def _promote(self, handle: MatrixHandle, ws: _Workspace,
                  d: int) -> None:
         """One background promotion job: specialize (handle, d) off the
@@ -888,28 +924,26 @@ class SpmmService:
         reason = None
         with _span("serve.promote", handle=handle.handle_id, d=d,
                    system=self.system, tier=ws.tier) as sp:
-            plan = None
             try:
                 if self._closed or self._handles.get(
                         handle.handle_id) is None:
                     outcome = "stale"
                     return
                 # stage 2 for the *served* system: autotune
-                # (choose_split, memo-aware) / pass search + operand
-                # mapping — the exact work the untiered cold path did
-                # inline
+                # (choose_split, memo-aware) / pass search, then the
+                # code the promoted tier executes — the exact work the
+                # untiered cold path does inline
                 x0 = np.zeros((handle.matrix.ncols, d), dtype=np.float32)
                 plan = self._artifact.bind(handle.matrix, x0,
                                            ensure_kernel=False,
                                            name_prefix="serve")
-                kernel, seconds, generated = self._build_promoted_kernel(
-                    handle, plan)
-                if self._commit_promotion(handle, ws, plan, kernel,
-                                          generated):
-                    outcome = "promoted"
-                else:
-                    outcome = "stale"
-                    self._prune_keylock(plan.key)
+                kernel, generated = plan.resolve_host_kernel()
+                if generated:
+                    seconds = kernel.codegen_seconds
+                    self._record_codegen(handle, seconds)
+                outcome = ("promoted"
+                           if self._commit_promotion(handle, ws, plan)
+                           else "stale")
             except Exception as error:
                 outcome = "failed"
                 reason = type(error).__name__
@@ -919,76 +953,28 @@ class SpmmService:
                             (handle.handle_id, d)) is ws:
                         ws.tier = TIER_FAILED
                         ws.promote_error = error
-                if plan is not None:
-                    try:
-                        self._prune_keylock(plan.key)
-                    except Exception:
-                        pass
             finally:
                 sp.annotate(outcome=outcome, codegen_seconds=seconds)
                 self.tier_stats.finish(outcome, seconds, reason)
 
-    def _build_promoted_kernel(self, handle: MatrixHandle, plan):
-        """Build (or fetch) the specialized kernel for a promotion plan.
-
-        Same cache discipline as :meth:`_resolve` — counted probe,
-        per-identity codegen lock, uncounted re-check — except the
-        kernel is *not* inserted into the cache here: the new identity
-        carries no workspace reference until the commit, so the insert
-        and the reference move together inside
-        :meth:`_commit_promotion` (put-if-live, under the guard).
-        """
-        system = plan.artifact.system
-        kernel = self.cache.get(plan.key)
-        if kernel is not None:
-            plan.attach_kernel(kernel, cache_hit=True, codegen_seconds=0.0)
-            return kernel, 0.0, False
-        with self._keylock_guard:
-            keylock = self._keylocks.setdefault(plan.key, threading.Lock())
-        with _span("serve.codegen", handle=handle.handle_id, d=plan.d,
-                   system=system.name) as sp, keylock:
-            kernel = self.cache.peek(plan.key)
-            if kernel is not None:
-                plan.attach_kernel(kernel, cache_hit=True,
-                                   codegen_seconds=0.0)
-                sp.annotate(generated=False)
-                return kernel, 0.0, False
-            kernel, seconds = system.build_kernel(plan)
-            sp.annotate(generated=True)
-        plan.attach_kernel(kernel, cache_hit=False, codegen_seconds=seconds)
-        with self._stripe(handle.handle_id).lock:
-            self.stats.handle(handle.handle_id, handle.name).record_codegen(
-                seconds)
-        return kernel, seconds, True
-
     def _commit_promotion(self, handle: MatrixHandle, ws: _Workspace,
-                          plan, kernel, generated: bool) -> bool:
+                          plan) -> bool:
         """Atomically land a finished promotion; False if it went stale.
 
-        Takes the stripe lock, then the identity guard — the order
-        :meth:`_workspace` established, so promotion can never deadlock
-        against registration.  Under the stripe lock the workspace's
-        liveness is re-checked (an unregister/eviction/close that won
-        the race means this promotion must release everything and keep
-        nothing); under the guard the new identity gains its reference
-        and — put-if-live — its cache entry in the same critical
-        section, so a racing unregister cannot interleave between them.
-        The swapped-out template identity is released after the locks
-        drop; the shared template kernel itself stays cached.
+        Under the stripe lock the workspace's liveness is re-checked
+        (an unregister/eviction/close that won the race means this
+        promotion keeps nothing: the dropped plan takes its host kernel
+        with it) and the plan is swapped.  The template identity the
+        workspace may have held for ``profile`` is released after the
+        lock drops — the shared template kernel itself stays cached —
+        and the promoted plan's is taken when ``profile`` next asks.
         """
         stripe = self._stripe(handle.handle_id)
-        key = (handle.handle_id, plan.d)
-        old_identity = ws.plan.key
         with stripe.lock:
-            if self._closed or stripe.workspaces.get(key) is not ws:
+            if self._closed or stripe.workspaces.get(
+                    (handle.handle_id, plan.d)) is not ws:
                 return False
-            with self._keylock_guard:
-                self._key_refs[plan.key] = (
-                    self._key_refs.get(plan.key, 0) + 1)
-                if generated:
-                    self.cache.put(
-                        plan.key, kernel,
-                        plan.artifact.system.kernel_nbytes(kernel))
+            old_identity, ws.identity = ws.identity, None
             ws.plan = plan
             ws.tier = TIER_PROMOTED
             ws.promote_error = None
@@ -1013,16 +999,21 @@ class SpmmService:
 
     def multiply(self, handle: MatrixHandle, x: np.ndarray,
                  deadline: float | None = None) -> np.ndarray:
-        """Serve one ``Y = A @ X`` request on the fast numpy backend.
+        """Serve one ``Y = A @ X`` request on the host CPU.
 
         The first request for a given ``x.shape[1]`` autotunes and
-        builds the kernel (cold); later requests hit the cache and pay
-        execution only.  Well-formed operands (contiguous float32 of
-        the registered height) pass a hoisted cheap assert instead of
-        full validation.  The request executes on the calling thread
-        — concurrent calls overlap in the GIL-free host kernel, none
-        waits on another — and the result is a fresh C-contiguous
-        array the caller owns.
+        generates the plan's host kernel (cold) — the one program this
+        (handle, d) pays for on the request path, and the code every
+        later request executes; nothing is mapped into the simulated
+        address space.  Plans without a host form (address-free
+        systems, the template tier, hosts that cannot run the code)
+        answer with the scipy template instead.  Well-formed operands
+        (contiguous float32 of the registered height) pass a hoisted
+        cheap assert instead of full validation.  The request executes
+        on the calling thread, none waits on another (a kernel long
+        enough to be worth a hand-off runs GIL-free,
+        :data:`repro.exec.host.GIL_RELEASE_NS`), and the result is a
+        fresh C-contiguous array the caller owns.
 
         ``deadline`` is an absolute :func:`time.monotonic` budget: the
         request raises :class:`repro.errors.DeadlineExceeded` rather
@@ -1034,24 +1025,26 @@ class SpmmService:
         with _span("serve.multiply", handle=handle.handle_id, d=d) as sp:
             t0 = time.perf_counter()
             self._check_deadline(deadline, "bind/codegen")
+            ws, cold = self._workspace(handle, d)
             if self._template_artifact is not None:
-                # tiered fast path: no kernel resolution at all — the
-                # numpy backend needs only the plan's row ranges, and
-                # resolving a specialized identity would map operands
-                # and pay codegen, exactly the cold cost tiering moves
-                # off the request path
-                ws, cold = self._workspace(handle, d)
                 self._note_tier_traffic(handle, ws, d)
-            else:
-                ws, _, _, _, cold, _ = self._resolve(handle, d)
-            sp.annotate(cold=cold)
-            self._check_deadline(deadline, "execution")
             # capture the plan once: a promotion landing mid-request
             # swaps ws.plan, and this request must execute — and be
             # attributed to — exactly one tier
             plan = ws.plan
+            # a lock-free read on every request but the one that
+            # generates the plan's host kernel, which is charged for it
+            kernel, generated = plan.resolve_host_kernel()
+            if generated:
+                self._record_codegen(handle, kernel.codegen_seconds)
+                cold = True
+            sp.annotate(cold=cold)
+            self._check_deadline(deadline, "execution")
             t1 = time.perf_counter()
-            y = multiply_partitioned(handle.matrix, x, plan.ranges)
+            if kernel is None:
+                y = multiply_partitioned(handle.matrix, x, plan.ranges)
+            else:
+                y = kernel(x)
             t2 = time.perf_counter()
             with self._stripe(handle.handle_id).lock:
                 self.stats.handle(handle.handle_id, handle.name).observe(
@@ -1162,7 +1155,7 @@ class SpmmService:
                 dropped = list(stripe.workspaces.values())
                 stripe.workspaces.clear()
             for ws in dropped:
-                self._release_identity(ws.plan.key, drop_kernel=True)
+                self._release_identity(ws.identity, drop_kernel=True)
         with self._registry_lock:
             self._handles.clear()
         self._collector.dead = True

@@ -8,24 +8,27 @@ module holds the policy layer :class:`repro.serve.SpmmService` uses to
 remove that cost the way a tiered VM does (interpret first, compile
 hot paths):
 
-* **template tier** — a new ``(handle, d)`` binds the system's cached
-  address-free template (:meth:`repro.api.System.tier_template`): zero
-  per-matrix codegen, so the first request costs partitioning plus one
-  SpMM;
+* **template tier** — a new ``(handle, d)`` binds the system's
+  address-free template (:meth:`repro.api.System.tier_template`), whose
+  native product is one scipy ``csr_matvecs`` call: zero per-matrix
+  codegen, so the first request costs partitioning plus one SpMM;
 * **promotion** — per-``(handle, d)`` traffic counters cross a
   configured threshold (``promote_after``; ``tier_mode="eager"``
   promotes on the first request) and a bounded background
-  :class:`PromotionExecutor` runs autotune + specialization off the
-  request path, then hot-swaps the workspace's plan under the
-  service's refcounted kernel-identity guard;
+  :class:`PromotionExecutor` runs autotune + code generation off the
+  request path — for the JIT, the host kernel the promoted tier then
+  *executes* (:mod:`repro.exec.host`; 2.0x scipy at d >= 16,
+  ``BENCH_hw.json``) — and hot-swaps the workspace's plan under its
+  stripe lock;
 * **degradation** — a failed promotion leaves the workspace serving
   the template tier forever, with the failure's exception type counted
   in :class:`TierStats` (the typed reason a report names).
 
-Both tiers compute bit-identical results: the fast path is
+Both tiers compute bit-identical results: the template tier is
 ``multiply_partitioned`` — one host product that accumulates each
 output element in ascending non-zero order, checked against the plan's
-row ranges — and a promoted plan only changes the ranges.
+row ranges — and the promoted JIT kernel accumulates in the same order
+with the same two roundings per term.
 
 The tier state machine per ``(handle, d)`` workspace::
 

@@ -32,6 +32,11 @@ VALUE_DTYPE = np.float32
 class CsrMatrix:
     """An immutable CSR sparse matrix with float32 values.
 
+    The three arrays are held as read-only views.  A caller that keeps
+    writing through its own array after construction breaks the
+    validated bounds (and the memoized fingerprint) behind the
+    matrix's back; copy first if the source must stay mutable.
+
     Equality and hashing are by content (shape and the three arrays,
     via :meth:`fingerprint`); ``name`` is a label and takes no part.
 
@@ -52,12 +57,17 @@ class CsrMatrix:
     name: str = ""
 
     def __post_init__(self) -> None:
-        row_ptr = np.ascontiguousarray(self.row_ptr, dtype=INDEX_DTYPE)
-        col_indices = np.ascontiguousarray(self.col_indices, dtype=INDEX_DTYPE)
-        vals = np.ascontiguousarray(self.vals, dtype=VALUE_DTYPE)
-        object.__setattr__(self, "row_ptr", row_ptr)
-        object.__setattr__(self, "col_indices", col_indices)
-        object.__setattr__(self, "vals", vals)
+        # read-only views: the host kernels (repro.exec.host) bake these
+        # arrays' addresses and trust the bounds validated below, so the
+        # structure must not change under them; the caller's own arrays
+        # stay writable
+        for name, dtype in (("row_ptr", INDEX_DTYPE),
+                            ("col_indices", INDEX_DTYPE),
+                            ("vals", VALUE_DTYPE)):
+            view = np.ascontiguousarray(getattr(self, name),
+                                        dtype=dtype).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
         self.validate()
 
     # ------------------------------------------------------------------
@@ -168,6 +178,11 @@ class CsrMatrix:
         state = dict(self.__dict__)
         state.pop("_scipy", None)
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        for name in ("row_ptr", "col_indices", "vals"):
+            self.__dict__[name].flags.writeable = False
 
     def row_slice(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(col_indices, vals)`` views for row ``i``."""

@@ -106,6 +106,28 @@ class TestOpenRegistry:
         with pytest.raises(RegistryError):
             get_system("test-doubler")
 
+    def test_service_serves_a_plan_with_no_host_buffers(self, rng):
+        # a third-party plan that keeps neither X nor Y host-side (so
+        # ``plan.d`` is undefined): the service works from the request's
+        # own width, and with no host kernel of its own the plan answers
+        # through the scipy template
+        from repro.serve import SpmmService
+        from repro.sparse.ops import spmm_reference
+        register("test-doubler", _Doubler())
+        try:
+            matrix = random_csr(rng, 20, 15)
+            x = rng.random((15, 4)).astype(np.float32)
+            with SpmmService(threads=2, split="row",
+                             system="test-doubler") as service:
+                handle = service.register(matrix)
+                for _ in range(2):
+                    assert np.array_equal(service.multiply(handle, x),
+                                          spmm_reference(matrix, x))
+                assert service.kernel(handle, 4) is not None
+                assert service.stats.codegen_runs == 1
+        finally:
+            unregister("test-doubler")
+
     def test_reregistration_replaces(self):
         first, second = _Doubler(), _Doubler()
         register("test-doubler", first)

@@ -10,7 +10,7 @@ class TestCli:
         assert set(EXPERIMENTS) == {
             "table2", "table4", "fig9", "fig10", "fig11", "ablations",
             "serving", "simspeed", "servethroughput", "obsoverhead",
-            "passsearch", "chaos"}
+            "passsearch", "chaos", "hw"}
 
     def test_runs_simspeed_experiment(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_BENCH_DATASETS", "uk-2005")
@@ -107,6 +107,37 @@ class TestCli:
         # the bench must not leave the process-wide tracer enabled
         import repro.obs as obs
         assert not obs.tracing_enabled()
+
+    def test_runs_hw_experiment(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_BENCH_DATASETS", "uk-2005")
+        monkeypatch.chdir(tmp_path)         # BENCH_hw.json lands in cwd
+        exit_code = main(["hw", "--scale", str(2.0 ** -21)])
+        assert exit_code == 0
+        assert "jit-exact" in capsys.readouterr().out
+        import json
+        payload = json.loads((tmp_path / "BENCH_hw.json").read_text())
+        assert payload["experiment"] == "hw"
+        assert payload["repeats"] >= 5
+        assert {"cpu", "isa", "nproc", "commit"} <= set(payload["env"])
+        rows = {(row["d"], row["system"]): row for row in payload["rows"]}
+        assert {d for d, _ in rows} == {1, 8, 16, 64}
+        for (d, system), row in rows.items():
+            # every cell either ran and verified, or names why it did not
+            assert ("skipped" in row) != ("median_us" in row), row
+            if "median_us" in row:
+                assert row["correct"], row
+                assert row["q1_us"] <= row["median_us"] <= row["q3_us"]
+        assert rows[(16, "scipy")]["bit_identical"]
+        supported = not payload["env"]["isa"].startswith("unsupported")
+        if supported:
+            assert rows[(16, "jit-exact")]["bit_identical"]
+            assert "vgatherdps" in rows[(16, "aot:icc-avx512")]["skipped"]
+            assert rows[(16, "jit")]["simulated_cycles"] > 0
+            assert "uk-2005" in payload["rank_agreement"]
+            assert (payload["gil"].get("skipped")
+                    or payload["gil"]["threshold_ns"] > 0)
+        else:
+            assert "skipped" in rows[(16, "jit-exact")]
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):

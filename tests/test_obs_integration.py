@@ -57,12 +57,12 @@ class TestLifecycleSpans:
         names = [r.name for r in traced.spans()]
         for expected in ("serve.register", "serve.multiply", "serve.bind",
                          "pipeline.bind", "autotune.choose_split",
-                         "serve.codegen", "codegen.jit"):
+                         "pipeline.host_kernel", "codegen.jit"):
             assert expected in names, expected
         # nested spans share the multiply root's trace id
         by_name = {r.name: r for r in traced.spans()}
         root = by_name["serve.multiply"]
-        for nested in ("serve.bind", "serve.codegen", "codegen.jit"):
+        for nested in ("serve.bind", "pipeline.host_kernel", "codegen.jit"):
             assert by_name[nested].trace_id == root.trace_id
 
     def test_warm_multiply_emits_no_codegen_span(self, rng, traced):
@@ -76,6 +76,7 @@ class TestLifecycleSpans:
         names = [r.name for r in traced.spans()]
         assert "serve.multiply" in names
         assert "codegen.jit" not in names
+        assert "pipeline.host_kernel" not in names
         assert "serve.bind" not in names
 
     def test_profile_span_records_backend(self, rng, traced):
@@ -148,6 +149,14 @@ class TestUnifiedMetrics:
         assert snap.value("serve_codegen_runs_total",
                           service="metrics-test") == 1
         assert snap.value("serve_handles", service="metrics-test") == 1
+        # multiply never probes the kernel cache; profile does
+        assert snap.value("serve_cache_hits_total",
+                          service="metrics-test") == 0
+        for _ in range(3):
+            service.profile(handle, x)
+        snap = obs.get_registry().snapshot()
+        assert snap.value("serve_cache_misses_total",
+                          service="metrics-test") == 1
         assert snap.value("serve_cache_hits_total",
                           service="metrics-test") == 2
 
@@ -276,7 +285,7 @@ class TestTraceArtifact:
         events = [e for e in document["traceEvents"] if e["ph"] == "X"]
         names = {e["name"] for e in events}
         assert "serve.multiply" in names
-        assert "serve.codegen" in names
+        assert "pipeline.host_kernel" in names
         # per-thread monotonic timestamps (Perfetto's requirement)
         by_tid = {}
         for event in events:

@@ -136,15 +136,28 @@ class TestRequestAccounting:
         handle = service.register(matrix)
         xs = [rng.random((25, 4)).astype(np.float32) for _ in range(6)]
         service.multiply(handle, xs[0])     # codegen before the fault
-        import repro.serve.service as service_module
-        real = service_module.multiply_partitioned
+        # fail whichever kernel this host executes: the plan's generated
+        # one, or the scipy template where generated code cannot run
+        (ws,) = service._workspaces.values()
+        host = ws.plan.host_kernel()
+        if host is not None:
+            def boom(x):
+                if x is xs[2]:
+                    raise RuntimeError("injected kernel failure")
+                return host(x)
 
-        def boom(matrix, x, ranges):
-            if x is xs[2]:
-                raise RuntimeError("injected kernel failure")
-            return real(matrix, x, ranges)
+            monkeypatch.setattr(ws.plan, "_host", boom)
+        else:
+            import repro.serve.service as service_module
+            real = service_module.multiply_partitioned
 
-        monkeypatch.setattr(service_module, "multiply_partitioned", boom)
+            def boom(matrix, x, ranges):
+                if x is xs[2]:
+                    raise RuntimeError("injected kernel failure")
+                return real(matrix, x, ranges)
+
+            monkeypatch.setattr(service_module, "multiply_partitioned",
+                                boom)
         results = [None] * len(xs)
         errors = {}
         barrier = threading.Barrier(len(xs))
@@ -189,13 +202,13 @@ class TestDeadlines:
         handle = service.register(random_csr(rng, 20, 20))
         x = rng.random((20, 4)).astype(np.float32)
         deadline = time.monotonic() + 0.05
-        resolve = service._resolve
+        resolve = service._workspace
 
         def slow_resolve(*args):
             time.sleep(0.1)
             return resolve(*args)
 
-        monkeypatch.setattr(service, "_resolve", slow_resolve)
+        monkeypatch.setattr(service, "_workspace", slow_resolve)
         with pytest.raises(DeadlineExceeded, match="execution"):
             service.multiply(handle, x, deadline=deadline)
 

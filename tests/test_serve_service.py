@@ -39,6 +39,8 @@ class TestRegistration:
         x = rng.random((30, 8)).astype(np.float32)
         handle = service.register(matrix, name="temp")
         service.multiply(handle, x)
+        assert len(service.cache) == 0     # multiply caches nothing
+        service.kernel(handle, 8)
         assert len(service.cache) == 1
         service.unregister(handle)
         assert len(service.cache) == 0
@@ -62,12 +64,12 @@ class TestRegistration:
         a = service.register(matrix)
         b = service.register(twin)
         x = rng.random((20, 8)).astype(np.float32)
-        service.multiply(a, x)
-        service.multiply(b, x)
+        service.profile(a, x)
+        service.profile(b, x)
         assert len(service.cache) == 1          # shared kernel identity
         service.unregister(a)
         assert len(service.cache) == 1          # b still serves from it
-        service.multiply(b, x)
+        service.profile(b, x)
         assert service.handle_stats(b).codegen_runs == 0
 
     def test_unregister_never_mutates_shared_cache(self, rng):
@@ -75,7 +77,7 @@ class TestRegistration:
         shared = KernelCache()
         service = SpmmService(threads=2, split="row", cache=shared)
         handle = service.register(random_csr(rng, 30, 30))
-        service.multiply(handle, rng.random((30, 8)).astype(np.float32))
+        service.profile(handle, rng.random((30, 8)).astype(np.float32))
         assert len(shared) == 1
         service.unregister(handle)
         assert len(shared) == 1                 # external cache untouched
@@ -89,8 +91,8 @@ class TestRegistration:
                             matrix.col_indices.copy(), matrix.vals.copy())
         b = service.register(twin, "b")
         x = rng.random((25, 8)).astype(np.float32)
-        service.multiply(a, x)
-        service.multiply(b, x)
+        service.profile(a, x)
+        service.profile(b, x)
         stats = service.handle_stats(b)
         # b's first request paid autotune+mapping (cold) but no codegen
         assert stats.cold.count == 1
@@ -117,6 +119,22 @@ class TestMultiply:
         assert stats.requests == 10
         assert stats.codegen_runs == 1
         assert stats.cold.count == 1 and stats.warm.count == 9
+        # the one program is the host kernel the requests executed: the
+        # kernel cache is never probed and nothing is ever mapped
+        cache = service.cache.stats()
+        assert cache.misses == 0 and cache.hits == 0
+        (ws,) = service._workspaces.values()
+        assert not ws.plan.mapped and ws.identity is None
+
+    def test_profile_probes_the_cache_once_per_request(self, rng, service):
+        matrix = random_csr(rng, 40, 30)
+        x = rng.random((30, 8)).astype(np.float32)
+        handle = service.register(matrix)
+        for _ in range(10):
+            service.profile(handle, x)
+        stats = service.handle_stats(handle)
+        assert stats.codegen_runs == 1
+        assert stats.cold.count == 1 and stats.warm.count == 9
         # one counted probe per request: the cold one is a single miss
         cache = service.cache.stats()
         assert cache.misses == 1 and cache.hits == 9
@@ -129,7 +147,7 @@ class TestMultiply:
         assert stats.codegen_runs == 1
         assert stats.codegen_seconds > 0
         assert stats.requests == 0
-        service.multiply(handle, rng.random((30, 8)).astype(np.float32))
+        service.profile(handle, rng.random((30, 8)).astype(np.float32))
         stats = service.handle_stats(handle)
         assert stats.codegen_runs == 1     # still just the prefetch
         assert stats.warm.count == 1       # request after prefetch is warm
@@ -151,6 +169,11 @@ class TestMultiply:
         service.multiply(handle, rng.random((30, 8)).astype(np.float32))
         service.multiply(handle, rng.random((30, 16)).astype(np.float32))
         assert service.handle_stats(handle).codegen_runs == 2
+        kernels = {ws.plan.host_kernel()
+                   for ws in service._workspaces.values()}
+        assert len(kernels) == 2 and None not in kernels
+        service.kernel(handle, 8)
+        service.kernel(handle, 16)
         assert len(service.cache) == 2
 
     def test_eviction_triggers_regeneration(self, rng):
@@ -162,9 +185,9 @@ class TestMultiply:
         handle = service.register(matrix)
         x8 = rng.random((30, 8)).astype(np.float32)
         x16 = rng.random((30, 16)).astype(np.float32)
-        service.multiply(handle, x8)
-        service.multiply(handle, x16)
-        service.multiply(handle, x8)
+        service.profile(handle, x8)
+        service.profile(handle, x16)
+        service.profile(handle, x8)
         assert service.handle_stats(handle).codegen_runs == 3
         assert service.cache.stats().evictions == 2
 
@@ -238,17 +261,22 @@ class TestProfile:
         assert np.allclose(y2, spmm_reference(matrix, x2), atol=1e-3)
         assert not np.array_equal(y1, y2)
 
-    def test_multiply_and_profile_share_kernel(self, rng, service):
+    def test_multiply_and_profile_each_generate_what_they_run(
+            self, rng, service):
         matrix = random_csr(rng, 30, 30)
         x = rng.random((30, 8)).astype(np.float32)
         handle = service.register(matrix)
         y_fast = service.multiply(handle, x)
+        (ws,) = service._workspaces.values()
+        assert not ws.plan.mapped      # multiply mapped nothing ...
         result = service.profile(handle, x)
-        assert result.cache_hit        # multiply already generated it
-        assert np.allclose(y_fast, result.y, atol=1e-3)
+        assert ws.plan.mapped          # ... profile did, lazily
+        assert not result.cache_hit    # and generated its own program
+        assert np.array_equal(y_fast, result.y)
+        assert service.profile(handle, x).cache_hit
         stats = service.handle_stats(handle)
-        assert stats.codegen_runs == 1
-        assert stats.profiled_requests == 1
+        assert stats.codegen_runs == 2  # host kernel + simulated kernel
+        assert stats.profiled_requests == 2
 
     def test_concurrent_profiles_stay_isolated(self, rng, service):
         # the per-workspace lock must keep simultaneous profiles of the
@@ -286,7 +314,7 @@ class TestProfile:
 
         def cold_request(handle):
             barrier.wait()
-            service.multiply(handle, x)
+            service.profile(handle, x)
 
         threads = [threading.Thread(target=cold_request, args=(h,))
                    for h in handles]

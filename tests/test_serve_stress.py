@@ -77,10 +77,12 @@ def test_concurrent_register_unregister_multiply(rng):
 
 
 def test_eviction_under_byte_pressure_mid_multiply(rng):
-    # alternate widths whose kernels cannot coexist in the budget while
-    # concurrent threads multiply both: a request that resolved a
-    # kernel just before its eviction must still serve the bit-correct
-    # product (the evicted object stays valid for in-flight holders)
+    # alternate widths whose cached kernels cannot coexist in the budget
+    # while concurrent threads profile and multiply them: a profile that
+    # resolved a kernel just before its eviction must still serve the
+    # bit-correct product (the evicted object stays valid for in-flight
+    # holders), and multiply — which runs the plan's own host kernel —
+    # is untouched by the cache pressure next to it
     service = SpmmService(
         threads=2, split="row",
         cache=ShardedKernelCache(budget_bytes=160, shards=2),
@@ -96,9 +98,10 @@ def test_eviction_under_byte_pressure_mid_multiply(rng):
     def hammer(d):
         barrier.wait()
         for _ in range(10):
-            if not np.array_equal(service.multiply(handle, operands[d]),
-                                  expected[d]):
-                errors.append(d)
+            for y in (service.profile(handle, operands[d]).y,
+                      service.multiply(handle, operands[d])):
+                if not np.array_equal(y, expected[d]):
+                    errors.append(d)
 
     threads = [threading.Thread(target=hammer, args=(d,)) for d in widths]
     for thread in threads:
@@ -285,9 +288,10 @@ def test_promotion_races_unregister_churn(rng):
 
 
 def test_promotion_races_eviction_under_byte_pressure(rng):
-    # a cache too small for every promoted kernel: promotions land,
-    # their kernels get evicted by other promotions, and every request
-    # still serves bit-correct results from whatever tier it captured
+    # a cache too small for every profiled kernel: promotions land
+    # under multiply traffic, the kernels profile() caches on either
+    # tier evict one another, and every request still serves
+    # bit-correct results from whatever tier it captured
     service = SpmmService(threads=2, split="row", tier_mode="eager",
                           promotion_workers=2,
                           cache=ShardedKernelCache(budget_bytes=512,
@@ -306,9 +310,10 @@ def test_promotion_races_eviction_under_byte_pressure(rng):
     def hammer(index):
         barrier.wait()
         for _ in range(12):
-            y = service.multiply(handles[index], operands[index])
-            if not np.array_equal(y, expected[index]):
-                errors.append(index)
+            for y in (service.multiply(handles[index], operands[index]),
+                      service.profile(handles[index], operands[index]).y):
+                if not np.array_equal(y, expected[index]):
+                    errors.append(index)
 
     threads = [threading.Thread(target=hammer, args=(index,))
                for index in range(len(handles))]

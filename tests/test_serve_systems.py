@@ -46,11 +46,25 @@ class TestServeTemplateSystems:
         service = SpmmService(threads=2, split="row", system="mkl")
         a = service.register(random_csr(rng, 20, 20, name="a"))
         b = service.register(random_csr(rng, 35, 25, name="b"))
-        service.multiply(a, rng.random((20, 8)).astype(np.float32))
-        service.multiply(a, rng.random((20, 16)).astype(np.float32))
-        service.multiply(b, rng.random((25, 8)).astype(np.float32))
+        service.profile(a, rng.random((20, 8)).astype(np.float32))
+        service.profile(a, rng.random((20, 16)).astype(np.float32))
+        service.profile(b, rng.random((25, 8)).astype(np.float32))
         assert len(service.cache) == 1
         assert service.stats.codegen_runs == 1
+
+    def test_template_multiply_generates_nothing(self, rng):
+        # an address-free template's native product is the scipy call:
+        # multiply resolves no kernel and probes no cache
+        service = SpmmService(threads=2, split="row", system="mkl")
+        matrix = random_csr(rng, 20, 20)
+        handle = service.register(matrix)
+        x = rng.random((20, 8)).astype(np.float32)
+        assert np.array_equal(service.multiply(handle, x),
+                              spmm_reference(matrix, x))
+        (ws,) = service._workspaces.values()
+        assert ws.plan.host_kernel() is None
+        assert service.stats.codegen_runs == 0
+        assert service.cache.stats().requests == 0
 
     def test_profile_sees_fresh_x(self, rng):
         service = SpmmService(threads=2, split="row", system="mkl")
@@ -92,13 +106,32 @@ class TestWorkspaceLru:
         handle = service.register(matrix)
         x8 = rng.random((30, 8)).astype(np.float32)
         x16 = rng.random((30, 16)).astype(np.float32)
-        service.multiply(handle, x8)
-        service.multiply(handle, x16)          # evicts the d=8 workspace
-        y = service.multiply(handle, x8)       # recreates it
+        service.profile(handle, x8)
+        service.profile(handle, x16)           # evicts the d=8 workspace
+        y = service.profile(handle, x8).y      # recreates it
         assert np.allclose(y, spmm_reference(matrix, x8), atol=1e-4)
         assert service._workspace_evictions == 2
         assert service.handle_stats(handle).codegen_runs == 2  # d=8, d=16
         assert service.handle_stats(handle).cold.count == 3    # remapping
+
+    def test_eviction_takes_the_host_kernel_with_the_plan(self, rng):
+        # the code multiply runs belongs to the plan: an evicted shape
+        # that comes back binds a new plan and generates its kernel again
+        service = SpmmService(threads=2, split="row", max_workspaces=1)
+        matrix = random_csr(rng, 30, 30)
+        handle = service.register(matrix)
+        x8 = rng.random((30, 8)).astype(np.float32)
+        x16 = rng.random((30, 16)).astype(np.float32)
+        service.multiply(handle, x8)
+        service.multiply(handle, x16)          # evicts the d=8 workspace
+        y = service.multiply(handle, x8)       # recreates it
+        assert np.array_equal(y, spmm_reference(matrix, x8))
+        assert service._workspace_evictions == 2
+        stats = service.handle_stats(handle)
+        assert stats.cold.count == 3
+        (ws,) = service._workspaces.values()
+        expected = 3 if ws.plan.host_kernel() is not None else 0
+        assert stats.codegen_runs == expected
 
     def test_touch_refreshes_recency(self, rng):
         service = SpmmService(threads=2, split="row", max_workspaces=2)
@@ -128,7 +161,7 @@ class TestWorkspaceLru:
         matrix = random_csr(rng, 30, 30)
         handle = service.register(matrix)
         for d in (2, 4, 8, 16, 32):
-            service.multiply(handle, rng.random((30, d)).astype(np.float32))
+            service.profile(handle, rng.random((30, d)).astype(np.float32))
         assert len(service._keylocks) == 1  # only the live workspace's
 
     def test_invalid_cap_rejected(self):

@@ -160,7 +160,8 @@ class TestFailedPromotion:
         def boom(self, plan):
             raise CodegenError("injected: no code for you")
 
-        monkeypatch.setattr(JitSystem, "build_kernel", boom)
+        # promotion generates the code the promoted tier executes
+        monkeypatch.setattr(JitSystem, "build_host_kernel", boom)
         matrix = random_csr(rng, 30, 30, name="degraded")
         x = rng.random((30, _D)).astype(np.float32)
         expected = spmm_reference(matrix, x)
