@@ -131,43 +131,27 @@ def main() -> None:
         print(f"  {clients} clients: {clients * requests / wall:7.0f} req/s")
     print(f"  {burst.lock_stats().render()}")
 
-    # -- a cold burst: tiered first requests vs inline specialization ---
+    # -- a cold burst: first requests vs warm ones -----------------------
     # A wave of never-seen matrices arrives while the service is busy.
-    # Untiered, each one's first request pays autotune + JIT codegen on
-    # the request path; tiered ("lazy"), the first request binds the
-    # shared address-free template and specialization happens in the
-    # background, landing as a hot-swap once the handle proves hot.
+    # Each one's first request pays autotune + JIT codegen on the
+    # request path; the second runs the kernel the first generated.
     print()
-    print("cold burst: first-request latency, inline vs tiered:")
-    for tier_mode in ("off", "lazy"):
-        cold = SpmmService(threads=8, split="auto", timing=False,
-                           tier_mode=tier_mode, promote_after=4)
-        firsts = []
-        arrivals = [random_sparse(rng, 280 + 7 * index, 240 + 3 * index,
-                                  0.03, f"cold-{tier_mode}-{index}")
-                    for index in range(6)]
-        for arrival in arrivals:
-            handle = cold.register(arrival)
-            x = rng.random((arrival.ncols, 8), dtype=np.float32)
+    print("cold burst: first vs second request latency per arrival:")
+    cold = SpmmService(threads=8, split="auto", timing=False)
+    firsts, seconds = [], []
+    for index in range(6):
+        arrival = random_sparse(rng, 280 + 7 * index, 240 + 3 * index,
+                                0.03, f"cold-{index}")
+        handle = cold.register(arrival)
+        x = rng.random((arrival.ncols, 8), dtype=np.float32)
+        for latencies in (firsts, seconds):
             started = time.perf_counter()
             cold.multiply(handle, x)
-            firsts.append(time.perf_counter() - started)
-        label = ("inline (tier_mode='off') "
-                 if tier_mode == "off" else "tiered (tier_mode='lazy')")
-        print(f"  {label}: first requests "
-              + " ".join(f"{1e3 * value:6.2f}ms" for value in firsts))
-        if tier_mode == "lazy":
-            # heat one arrival past the threshold; promotion lands in
-            # the background and the report shows both tiers serving
-            handle = cold.register(arrivals[0], "cold-hot")
-            x = rng.random((arrivals[0].ncols, 8), dtype=np.float32)
-            for _ in range(8):
-                cold.multiply(handle, x)
-            cold.drain_promotions()
-            cold.multiply(handle, x)
-            snap = cold.snapshot()
-            print(f"  after heating one handle: {snap.tier.render()}")
-        cold.close()
+            latencies.append(time.perf_counter() - started)
+    for label, latencies in (("first ", firsts), ("second", seconds)):
+        print(f"  {label}: "
+              + " ".join(f"{1e3 * value:6.2f}ms" for value in latencies))
+    cold.close()
 
     # -- the same burst, traced: one Perfetto-loadable artifact ---------
     # Spans cover the whole lifecycle (one serve.multiply root per

@@ -20,18 +20,11 @@ from repro.errors import ShapeError
 from repro.isa.isainfo import IsaLevel
 from repro.machine.cache import CacheConfig
 
-__all__ = ["DEFAULT_MAX_STEPS", "ExecutionConfig", "SPLITS", "TIER_MODES"]
+__all__ = ["DEFAULT_MAX_STEPS", "ExecutionConfig", "SPLITS"]
 
 #: default per-thread dynamic instruction budget (mirrors
 #: :class:`repro.machine.CpuConfig`'s historical constant)
 DEFAULT_MAX_STEPS = 500_000_000
-
-#: tiered-execution modes for the serving subsystem: ``"off"`` serves
-#: every request from the fully specialized plan (codegen inline on the
-#: first request), ``"lazy"`` serves new handles from the address-free
-#: template and promotes once traffic crosses ``promote_after``,
-#: ``"eager"`` starts promotion on the first request
-TIER_MODES = ("off", "lazy", "eager")
 
 
 @dataclass(frozen=True)
@@ -115,25 +108,6 @@ class ExecutionConfig:
         search_budget: Maximum candidate compilations one ``opt_level=3``
             search may evaluate (>= 1; 1 degenerates to the
             fixed-function baseline).
-        tier_mode: Tiered-execution policy for the serving subsystem
-            (:class:`repro.serve.SpmmService`).  ``"off"`` (default)
-            keeps the historical behavior — the first request for each
-            ``(handle, d)`` pays autotune + specialization inline.
-            ``"lazy"`` serves cold handles immediately from the
-            system's address-free template tier (zero per-matrix
-            codegen) and promotes a ``(handle, d)`` to its specialized
-            kernel in the background once it has served
-            ``promote_after`` requests.  ``"eager"`` starts promotion
-            on the first request.  Systems without a faster template
-            tier (MKL, AOT below ``opt_level=3``) ignore tiering —
-            they already serve every request from one shared template.
-        promote_after: Request count at which a ``(handle, d)`` serving
-            on the template tier is scheduled for background promotion
-            (``tier_mode="lazy"``; >= 1).
-        promotion_workers: Background promotion worker threads per
-            service (>= 1).  Promotions are bounded by this pool, so a
-            registration burst cannot oversubscribe the host with
-            concurrent autotune/codegen runs.
     """
 
     split: str = "row"
@@ -157,9 +131,6 @@ class ExecutionConfig:
     breaker_threshold: int = 3
     opt_level: int = 0
     search_budget: int = 16
-    tier_mode: str = "off"
-    promote_after: int = 32
-    promotion_workers: int = 1
 
     def __post_init__(self) -> None:
         if self.threads <= 0:
@@ -219,18 +190,6 @@ class ExecutionConfig:
             raise ShapeError(
                 f"search_budget must be at least 1, got "
                 f"{self.search_budget}")
-        if self.tier_mode not in TIER_MODES:
-            raise ShapeError(
-                f"unknown tier_mode {self.tier_mode!r}; expected one of "
-                f"{TIER_MODES}")
-        if self.promote_after < 1:
-            raise ShapeError(
-                f"promote_after must be at least 1, got "
-                f"{self.promote_after}")
-        if self.promotion_workers < 1:
-            raise ShapeError(
-                f"promotion_workers must be at least 1, got "
-                f"{self.promotion_workers}")
         object.__setattr__(self, "isa", IsaLevel.parse(self.isa))
 
     @property

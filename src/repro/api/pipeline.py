@@ -143,20 +143,6 @@ class System(abc.ABC):
         """
         return self.build_kernel(None)
 
-    def tier_template(self, config: ExecutionConfig):
-        """The cheaper tier this system's cold requests can serve from.
-
-        Returns ``(system_name, config_overrides)`` naming a registered
-        address-free system (and the config changes making it valid)
-        whose results are bit-identical to this system's, or ``None``
-        when no faster tier exists — the serving subsystem then keeps
-        its untiered behavior regardless of ``config.tier_mode``.  The
-        template must be *cheaper to bind* (no per-matrix codegen or
-        search), which is what makes template-first registration
-        near-instant.
-        """
-        return None
-
 
 class Artifact:
     """Stage-1 output: a system + config, resolving kernels on demand.

@@ -163,16 +163,6 @@ class JitSystem(System):
         with _span("codegen.jit", host=True, d=plan.d):
             return build_host_kernel(plan.matrix, plan.d)
 
-    def tier_template(self, config):
-        # the MKL-like template binds with partitioning only — no
-        # autotune, no codegen — and is bit-identical to the JIT (both
-        # accumulate each output element in ascending non-zero order).
-        # "auto" is a JIT-only contract, so the template pins the
-        # paper's default row split; the tuner still picks the
-        # *promoted* plan's split.
-        overrides = {"split": "row"} if config.split == "auto" else {}
-        return "mkl", overrides
-
 
 # ----------------------------------------------------------------------
 # Param-block templates: AOT personalities and the MKL-like kernel
@@ -330,16 +320,6 @@ class AotSystem(System):
             opt_level = 0 if plan is None else plan.config.opt_level
             passes = self.personality.pass_config(min(opt_level, 2))
         return self._compile(passes)
-
-    def tier_template(self, config):
-        if config.opt_level < 3:
-            return None  # already one shared template: nothing faster
-        # opt_level=3 searches a pass config per matrix (bind-time
-        # identity, expensive); the *same personality's* static
-        # level-2 template binds instantly and — every pass being
-        # bit-preserving — computes identical bits, including for
-        # icc-avx512's reordered accumulation
-        return self.name, {"opt_level": 2}
 
     def _compile(self, passes) -> tuple[object, float]:
         with _span("codegen.aot", personality=self.personality,

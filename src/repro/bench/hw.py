@@ -15,7 +15,8 @@ what ``backend="native"`` is: for every dataset twin and ``d`` in
 * ``aot:gcc`` / ``aot:clang`` / ``aot:icc`` / ``mkl`` — the address-free
   templates through the same loader, reading a parameter block of real
   addresses;
-* ``scipy`` — the ``csr_matvecs`` call the template tier answers with;
+* ``scipy`` — the ``csr_matvecs`` call plans without a host kernel
+  answer with;
 * anything the loader refuses (``aot:icc-avx512``: ``vgatherdps`` with
   an implicit mask) or this host cannot run, as ``skipped: <reason>``.
 

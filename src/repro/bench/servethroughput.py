@@ -26,19 +26,13 @@ there are the three cores two workers and a gateway need.
 
 The harness also measures **cold start**: register never-seen matrices
 while closed-loop traffic hammers a warm handle, and time each fresh
-handle's *first* ``multiply``.  Two cells: ``inline`` (``tier_mode=
-"off"``, the first request pays autotune + codegen on the request
-path) and ``tiered`` (``tier_mode="lazy"``, the first request binds
-the address-free template and specialization happens in the
-background — :mod:`repro.serve.tier`).  Both cells assert bit-identity
-against :func:`repro.core.engine.spmm_reference`, including after a
-promotion lands; the JSON's ``coldstart`` section reports first-request
-min/p50/p99 per mode with the sample count.  Every wait for the GIL or
-the scheduler only adds latency, and on a small box those waits move
-the p50 ratio between 2x and 60x from run to run (p99 over a dozen
-samples is the maximum), so CI gates the ratio of the *fastest* first
-requests — the request path's own work, which is what tiering removes
-— at >= 3x, and reports the rest.
+handle's *first* ``multiply`` — the request that pays autotune and
+host-kernel codegen inline.  Every result is checked bit-equal against
+:func:`repro.core.engine.spmm_reference`; the JSON's ``coldstart``
+section reports first-request min/p50/p99 with the sample count, and
+CI gates on its ``bit_identical``.  Every wait for the GIL or the
+scheduler only adds latency, so ``min_ms`` is the figure closest to the
+request path's own work (p99 over a dozen samples is the maximum).
 
 Emitted as a table and as ``BENCH_servethroughput.json`` (path
 overridable via ``REPRO_BENCH_SERVETHROUGHPUT_JSON``), which CI
@@ -58,7 +52,7 @@ import numpy as np
 
 from repro.bench.harness import BenchConfig, render_table
 from repro.core.engine import spmm_reference
-from repro.serve import TIER_PROMOTED, SpmmService
+from repro.serve import SpmmService
 from repro.sparse.csr import CsrMatrix
 
 __all__ = ["ServeThroughputResult", "run_servethroughput"]
@@ -94,13 +88,6 @@ DEFAULT_COLDSTART_HANDLES = 12
 #: cold-start cells register fresh handles
 COLDSTART_CLIENTS = 4
 
-#: cold-start cells: inline specialization vs template-first tiering
-COLDSTART_MODES = ("inline", "tiered")
-
-#: the fastest tiered first request must beat the fastest inline one by
-#: this factor (the CI gate)
-COLDSTART_TARGET = 3.0
-
 
 @dataclass
 class ServeThroughputResult:
@@ -113,7 +100,7 @@ class ServeThroughputResult:
     rows: dict[str, dict]
     json_path: str
     networked: bool = field(default=False)
-    #: cold-start section: mode name -> cell dict, plus the speedups
+    #: cold-start section: first-request latencies of fresh handles
     coldstart: dict = field(default_factory=dict)
 
     def rps(self, backend: str) -> float:
@@ -136,12 +123,6 @@ class ServeThroughputResult:
             return None
         few, many = NETWORKED_WORKER_COUNTS[0], NETWORKED_WORKER_COUNTS[-1]
         return self.rps(f"gateway:{many}w") / self.rps(f"gateway:{few}w")
-
-    def coldstart_speedup_min(self) -> float:
-        """Fastest inline first request over fastest tiered one — the
-        CI acceptance ratio (target >= 3x): how much of the first
-        request's own work tiering moved off the request path."""
-        return self.coldstart["speedup_min"]
 
     # ------------------------------------------------------------------
     def as_payload(self) -> dict:
@@ -199,15 +180,9 @@ class ServeThroughputResult:
             lines.append(
                 f"cold start ({cold['handles']} fresh handles under "
                 f"{cold['clients']} clients of warm traffic): "
-                + "; ".join(
-                    f"{mode} min {cell['min_ms']:.3f}ms / "
-                    f"p50 {cell['p50_ms']:.3f}ms / "
-                    f"p99 {cell['p99_ms']:.3f}ms (n={cell['handles']})"
-                    for mode, cell in sorted(cold["modes"].items()))
-                + f" -> tiered speedup min {cold['speedup_min']:.2f}x "
-                f"(gate >= {COLDSTART_TARGET:.0f}x), p50 "
-                f"{cold['speedup_p50']:.2f}x, p99 "
-                f"{cold['speedup_p99']:.2f}x, bit_identical="
+                f"first request min {cold['min_ms']:.3f}ms / "
+                f"p50 {cold['p50_ms']:.3f}ms / "
+                f"p99 {cold['p99_ms']:.3f}ms, bit_identical="
                 f"{cold['bit_identical']}")
         return "\n".join(lines)
 
@@ -328,51 +303,41 @@ def _run_networked_cell(config: BenchConfig, matrix, workers: int,
     }
 
 
-def _fresh_matrices(config: BenchConfig, base, count: int,
-                    mode_index: int) -> list[CsrMatrix]:
+def _fresh_matrices(config: BenchConfig, base,
+                    count: int) -> list[CsrMatrix]:
     """``count`` never-seen matrices with pairwise-distinct shapes.
 
     Cold start is only cold if nothing is shared: the autotune memo is
     process-wide and JIT kernel identities are shape-addressed, so
-    every matrix — within a cell and across cells — gets its own shape
-    (and so its own memo entry and kernel identity).  Without this the
-    inline cell would warm the tiered cell, or vice versa, depending on
-    run order.
+    every matrix gets its own shape (and so its own memo entry and
+    kernel identity).
     """
-    rng = np.random.default_rng(config.seed + 7919 * (mode_index + 1))
+    rng = np.random.default_rng(config.seed + 7919)
     density = min(0.3, max(0.02, base.nnz / (base.nrows * base.ncols)))
     matrices = []
     for index in range(count):
-        offset = 2 * (count * mode_index + index)
+        offset = 2 * index
         nrows = base.nrows + offset + 1
         ncols = base.ncols + offset + 2
         mask = rng.random((nrows, ncols)) < density
         dense = np.where(mask, rng.standard_normal((nrows, ncols)), 0.0)
         dense[0, 0] = 1.0           # never an all-zero matrix
         matrices.append(CsrMatrix.from_dense(
-            dense.astype(np.float32), name=f"cold-{mode_index}-{index}"))
+            dense.astype(np.float32), name=f"cold-{index}"))
     return matrices
 
 
-def _run_coldstart_cell(config: BenchConfig, base, mode: str,
-                        mode_index: int, handles: int,
-                        clients: int) -> dict:
+def _run_coldstart(config: BenchConfig, base, handles: int,
+                   clients: int) -> dict:
     """Time the first request of ``handles`` fresh registrations.
 
-    ``mode="inline"`` serves with ``tier_mode="off"`` (first request
-    pays autotune + codegen inline); ``mode="tiered"`` with
-    ``tier_mode="lazy"`` (first request binds the template, promotion
-    runs in the background).  Both run under closed-loop warm traffic,
-    and every result — template tier, inline, and the first handle's
-    post-promotion product — is checked bit-equal against
-    ``spmm_reference``.
+    Runs under closed-loop warm traffic; every first-request result is
+    checked bit-equal against ``spmm_reference``.
     """
-    tier_mode = "off" if mode == "inline" else "lazy"
     service = SpmmService(threads=config.threads, split="auto",
-                          timing=False, tier_mode=tier_mode,
-                          promote_after=8)
-    rng = np.random.default_rng(config.seed + mode_index)
-    matrices = _fresh_matrices(config, base, handles + 1, mode_index)
+                          timing=False)
+    rng = np.random.default_rng(config.seed)
+    matrices = _fresh_matrices(config, base, handles + 1)
     warm_matrix, fresh = matrices[0], matrices[1:]
     warm_handle = service.register(warm_matrix, warm_matrix.name)
     warm_x = rng.random((warm_matrix.ncols, _D), dtype=np.float32)
@@ -387,7 +352,6 @@ def _run_coldstart_cell(config: BenchConfig, base, mode: str,
                for _ in range(clients)]
     latencies: list[float] = []
     bit_identical = True
-    promoted = False
     try:
         for thread in traffic:
             thread.start()
@@ -402,59 +366,17 @@ def _run_coldstart_cell(config: BenchConfig, base, mode: str,
         stop.set()
         for thread in traffic:
             thread.join()
-    if tier_mode != "off":
-        # heat the first fresh handle past the threshold, wait for its
-        # promotion to land, and check the promoted tier's bits too
-        matrix, x = fresh[0], rng.random((fresh[0].ncols, _D),
-                                         dtype=np.float32)
-        handle = service.register(matrix, f"{matrix.name}-hot")
-        deadline = time.monotonic() + 60.0
-        while (service.tier_state(handle, _D) != TIER_PROMOTED
-               and time.monotonic() < deadline):
-            y = service.multiply(handle, x)
-            bit_identical &= np.array_equal(y, spmm_reference(matrix, x))
-            service.drain_promotions(1.0)
-        promoted = service.tier_state(handle, _D) == TIER_PROMOTED
-        y = service.multiply(handle, x)
-        bit_identical &= np.array_equal(y, spmm_reference(matrix, x))
     service.close()
     lat = np.asarray(latencies)
     return {
-        "mode": mode,
-        "tier_mode": tier_mode,
         "handles": int(lat.size),
+        "clients": clients,
+        "d": _D,
         "min_ms": 1e3 * float(lat.min()),
         "p50_ms": 1e3 * float(np.percentile(lat, 50)),
         "p99_ms": 1e3 * float(np.percentile(lat, 99)),
         "mean_ms": 1e3 * float(lat.mean()),
         "bit_identical": bool(bit_identical),
-        "promoted": bool(promoted),
-    }
-
-
-def _run_coldstart(config: BenchConfig, base, handles: int,
-                   clients: int) -> dict:
-    """Both cold-start cells plus the gate ratios."""
-    modes = {
-        mode: _run_coldstart_cell(config, base, mode, mode_index,
-                                  handles, clients)
-        for mode_index, mode in enumerate(COLDSTART_MODES)
-    }
-    return {
-        "handles": handles,
-        "clients": clients,
-        "d": _D,
-        "modes": modes,
-        "speedup_min": modes["inline"]["min_ms"]
-        / modes["tiered"]["min_ms"],
-        "speedup_p50": modes["inline"]["p50_ms"]
-        / modes["tiered"]["p50_ms"],
-        "speedup_p99": modes["inline"]["p99_ms"]
-        / modes["tiered"]["p99_ms"],
-        "bit_identical": all(cell["bit_identical"]
-                             for cell in modes.values()),
-        "promoted": modes["tiered"]["promoted"],
-        "target": COLDSTART_TARGET,
     }
 
 

@@ -139,11 +139,10 @@ def multiply_partitioned(matrix: CsrMatrix, x: np.ndarray,
     What the ``"native"`` backend computes for everything that has no
     generated host kernel of its own (:mod:`repro.exec.host`): plan-less
     one-shot calls (:meth:`JitSpMM.multiply`), the AOT / MKL template
-    systems, the serving subsystem's template tier, and any plan on a
-    host that cannot run generated code.  Which of the two runs follows
-    from what the plan is, never from an option.  Rows are independent
-    and every kernel here
-    accumulates an output element in ascending non-zero order, so the
+    systems, and any plan on a host that cannot run generated code.
+    Which of the two runs follows from what the plan is, never from an
+    option.  Rows are independent and every kernel here accumulates an
+    output element in ascending non-zero order, so the
     product over contiguous ranges covering ``[0, nrows)`` — the
     partitioners' contract — *is* the whole product, bit for bit: the
     ranges are checked, then the matrix's prepared scipy handle

@@ -67,11 +67,14 @@ class NativeExecutor(Executor):
             plan.y_host[:] = y  # Y is aliased by the mapped segment
         else:
             plan.y_host = y
+        # a simulated run may have attached a kernel: a JIT/AOT compile
+        # output carrying ``.program``, or MKL's bare ``Program``
+        program = getattr(plan.kernel, "program", plan.kernel)
         return RunResult(
             y=plan.y_host,
             counters=Counters(),
             per_thread=[],
-            program=plan.kernel.program if plan.kernel is not None else None,
+            program=program,
             codegen_seconds=plan.codegen_seconds,
             system=plan.system_name,
             split=plan.split,

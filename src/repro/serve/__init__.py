@@ -17,11 +17,7 @@ request stream.  Components:
   one-time autotuning and codegen;
 * :mod:`repro.serve.stats` — per-handle and service-wide request
   statistics, including the amortized Table-IV ``codegen_overhead``
-  and lock-contention counters;
-* :mod:`repro.serve.tier` — tiered execution: cold handles serve from
-  the address-free template tier (near-instant registration and first
-  request) and are promoted to specialized kernels in the background
-  once hot (:class:`PromotionExecutor`, :class:`TierStats`).
+  and lock-contention counters.
 
 See :mod:`repro.bench.serving` for the amortization experiment,
 :mod:`repro.bench.servethroughput` for the serving throughput
@@ -45,18 +41,6 @@ from repro.serve.stats import (
     ServiceStats,
     TimedLock,
 )
-from repro.serve.tier import (
-    PROMOTION_OUTCOMES,
-    PromotionExecutor,
-    TIER_FAILED,
-    TIER_INLINE,
-    TIER_MODES,
-    TIER_PROMOTED,
-    TIER_PROMOTING,
-    TIER_TEMPLATE,
-    TierSnapshot,
-    TierStats,
-)
 
 __all__ = [
     "CacheStats",
@@ -66,19 +50,9 @@ __all__ = [
     "LatencyStat",
     "LockStats",
     "MatrixHandle",
-    "PROMOTION_OUTCOMES",
-    "PromotionExecutor",
     "ServiceStats",
     "ShardedKernelCache",
     "SpmmService",
-    "TIER_FAILED",
-    "TIER_INLINE",
-    "TIER_MODES",
-    "TIER_PROMOTED",
-    "TIER_PROMOTING",
-    "TIER_TEMPLATE",
-    "TierSnapshot",
-    "TierStats",
     "TimedLock",
     "aot_key",
     "jit_key",

@@ -66,8 +66,6 @@ import threading
 import time
 from multiprocessing import get_context, shared_memory
 
-import numpy as np
-
 from repro import errors as _errors
 from repro import faults
 from repro.api.config import ExecutionConfig
@@ -179,7 +177,7 @@ class Gateway:
     Args:
         config: An :class:`~repro.api.ExecutionConfig`; ``workers``,
             ``max_inflight`` and ``tenant_quota`` shape the gateway,
-            the execution knobs (threads/split/isa/backend/tiering)
+            the execution knobs (threads/split/isa/backend/opt_level)
             shape each worker's service.  ``None`` serves the native
             backend with autotuned splits on one worker.
         host / port: Bind address; port 0 (default) picks a free port
@@ -239,14 +237,6 @@ class Gateway:
             "l1": config.l1,
             "l2": config.l2,
             "system": system,
-            # tiered execution is per worker: each worker promotes its
-            # own hot handles, and the autotune-memo broadcast riding
-            # every reply converges the pool's promoted split choices;
-            # a respawned worker re-promotes from its replayed
-            # registrations as traffic returns
-            "tier_mode": config.tier_mode,
-            "promote_after": config.promote_after,
-            "promotion_workers": config.promotion_workers,
             "opt_level": config.opt_level,
             "search_budget": config.search_budget,
         }

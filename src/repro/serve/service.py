@@ -37,21 +37,15 @@ overhead the same way codegen overhead was removed:
   their plan — tuned ranges, the host kernel, and for ``profile`` the
   simulated address space, mapped only when ``profile`` first asks —
   across requests, so a steady-state request allocates nothing beyond
-  the result buffer its caller keeps;
-* **tiered execution** (``tier_mode``, :mod:`repro.serve.tier`) — cold
-  ``(handle, d)`` workspaces answer from the address-free scipy
-  template (no autotune, no codegen: near-instant first request) and
-  are promoted to the plan with its own JIT kernel by a bounded
-  background executor once traffic crosses ``promote_after``; both
-  tiers are bit-identical, and the hot-swap is one assignment under
-  the stripe lock.
+  the result buffer its caller keeps.  A workspace binds one plan and
+  keeps it until it is unregistered, evicted or closed.
 
 Two request paths, mirroring :class:`repro.core.engine.JitSpMM`:
 
 * :meth:`SpmmService.multiply` — production path: the plan's generated
   kernel on the host CPU, bit-equal to ``spmm_reference`` (the scipy
-  template where the plan has no host form — address-free systems, the
-  template tier, hosts that cannot run the code);
+  template where the plan has no host form — address-free systems,
+  hosts that cannot run the code);
 * :meth:`SpmmService.profile` — opt-in simulated path that re-executes
   the *cached* simulated-address kernel on the persistent per-handle
   address space (operand segments are zero-copy views, so a new ``X``
@@ -87,17 +81,6 @@ from repro.obs.metrics import Sample, get_registry, labels_key
 from repro.obs.trace import span as _span
 from repro.serve.cache import CacheStats, KernelCache, ShardedKernelCache
 from repro.serve.stats import HandleStats, LockStats, ServiceStats, TimedLock
-from repro.serve.tier import (
-    PROMOTION_OUTCOMES,
-    PromotionExecutor,
-    TIER_FAILED,
-    TIER_INLINE,
-    TIER_PROMOTED,
-    TIER_PROMOTING,
-    TIER_TEMPLATE,
-    TierSnapshot,
-    TierStats,
-)
 from repro.sparse.csr import CsrMatrix
 
 __all__ = ["MatrixHandle", "ServiceSnapshot", "SpmmService"]
@@ -155,15 +138,6 @@ class _Workspace:
     #: this same (handle, d).  Codegen has its own per-identity lock in
     #: the service.
     lock: threading.Lock = field(default_factory=threading.Lock)
-    #: serving tier (tier state machine in :mod:`repro.serve.tier`);
-    #: ``"inline"`` on an untiered service
-    tier: str = TIER_INLINE
-    #: requests served on the template tier (drives the promotion
-    #: threshold; mutated under the owning stripe lock)
-    traffic: int = 0
-    #: the typed error of a failed promotion (the workspace then serves
-    #: the template tier for good)
-    promote_error: BaseException | None = None
 
 
 class _Stripe:
@@ -198,9 +172,6 @@ class ServiceSnapshot:
     workspace_cap: int | None
     workspace_evictions: int
     autotune_memo: dict
-    #: tiered-execution state; None on an untiered service (the report
-    #: and metric series are then byte-identical to pre-tiering ones)
-    tier: TierSnapshot | None = None
 
     def render(self) -> str:
         """The service report (live Table IV) — byte-identical to what
@@ -208,16 +179,13 @@ class ServiceSnapshot:
         cap = ("unbounded" if self.workspace_cap is None
                else self.workspace_cap)
         memo = self.autotune_memo
-        lines = [
+        return "\n".join([
             self.stats.render(self.cache, self.locks),
             f"workspaces: {self.workspaces_live} live (cap {cap}), "
             f"{self.workspace_evictions} evicted",
             f"autotune memo: {memo['hits']} hits / {memo['misses']} "
             f"misses ({memo['entries']} entries, process-wide)",
-        ]
-        if self.tier is not None:
-            lines.append(self.tier.render())
-        return "\n".join(lines)
+        ])
 
     def metric_samples(self, **labels) -> list[Sample]:
         """The snapshot as registry samples (``serve_*`` series).
@@ -262,22 +230,6 @@ class ServiceSnapshot:
         out.extend(
             sample("serve_backend_requests_total", count, backend=name)
             for name, count in sorted(stats.backend_traffic.items()))
-        out.extend(
-            sample("serve_tier_traffic_total", count, tier=name)
-            for name, count in sorted(stats.tier_traffic.items()))
-        if self.tier is not None:
-            out.extend(
-                sample("serve_tier_promotions_total",
-                       self.tier.outcomes.get(outcome, 0), outcome=outcome)
-                for outcome in PROMOTION_OUTCOMES)
-            out.append(sample("serve_tier_promotions_pending",
-                              self.tier.pending, "gauge"))
-            out.append(sample("serve_tier_codegen_seconds_total",
-                              self.tier.codegen_seconds))
-            out.extend(
-                sample("serve_tier_failures_total", count, reason=reason)
-                for reason, count in sorted(
-                    self.tier.failure_reasons.items()))
         return out
 
 
@@ -349,25 +301,10 @@ class SpmmService:
             ``perfbench/workloads.py`` passes them.  Stored nowhere.
         stripes: Lock stripes for service state, and the shard count of
             the private kernel cache.
-        tier_mode: Tiered execution (:mod:`repro.serve.tier`):
-            ``"off"`` (default) specializes inline on the first request
-            per (handle, d); ``"lazy"`` serves cold workspaces from the
-            address-free scipy template (near-instant first request,
-            bit-identical results) and promotes to the plan running
-            its own JIT kernel in the background after
-            ``promote_after`` requests; ``"eager"`` promotes on the
-            first request.
-            Inert for systems with no faster template
-            (:meth:`repro.api.System.tier_template` returns None).
-        promote_after: Template-tier request count that schedules a
-            (handle, d) for background promotion (lazy mode).
-        promotion_workers: Background promotion threads bounding
-            concurrent off-path autotune/codegen runs.
         opt_level: AOT optimization level for the served system
             (ignored by systems without an IR pass pipeline); at
             ``opt_level=3`` an AOT system searches pass configs per
-            matrix — the expensive bind tiering moves off the request
-            path.
+            matrix, on the first request for each (handle, d).
         search_budget: Candidate budget for one ``opt_level=3`` search.
         obs_label: The ``service=`` label on this service's exported
             metrics (:mod:`repro.obs`); defaults to a process-unique
@@ -380,8 +317,7 @@ class SpmmService:
     bounded by ``max_workspaces``; the kernel cache's byte budget
     bounds the simulated-address programs ``profile``/``kernel``
     resolve.  ``multiply`` pays exactly one codegen per (handle, d) on
-    the request path — for the code it executes — and none on the
-    template tier, whose promotion generates it in the background.
+    the request path — for the code it executes.
     """
 
     def __init__(
@@ -400,9 +336,6 @@ class SpmmService:
         max_batch: int = 1,
         flush_us: float = 0.0,
         stripes: int = DEFAULT_STRIPES,
-        tier_mode: str = "off",
-        promote_after: int = 32,
-        promotion_workers: int = 1,
         opt_level: int = 0,
         search_budget: int = 16,
         obs_label: str | None = None,
@@ -423,37 +356,14 @@ class SpmmService:
             raise ShapeError(
                 f"split='auto' autotunes via the JIT cost model; system "
                 f"{system!r} serves fixed splits (row/nnz/merge)")
-        # validation (thread count, split name, backend name, tiering,
-        # ...) happens here, once, for the contract every entry point
-        # shares
+        # validation (thread count, split name, backend name, ...)
+        # happens here, once, for the contract every entry point shares
         self._config = ExecutionConfig(
             split=split, threads=threads, isa=isa, timing=timing,
             backend=backend, l1=l1, l2=l2, cache=self.cache,
-            tier_mode=tier_mode, promote_after=promote_after,
-            promotion_workers=promotion_workers, opt_level=opt_level,
-            search_budget=search_budget,
+            opt_level=opt_level, search_budget=search_budget,
         )
         self._artifact = self._system.prepare(self._config)
-        # tiered execution: active iff asked for AND the system names a
-        # cheaper bit-identical template tier (repro.serve.tier); the
-        # template artifact shares this service's kernel cache, so its
-        # one compiled kernel serves every cold workspace
-        self.tier_mode = tier_mode
-        self.promote_after = self._config.promote_after
-        self.tier_stats = TierStats()
-        self._template_artifact = None
-        self._template_key = None
-        self._promoter = None
-        template = (self._system.tier_template(self._config)
-                    if tier_mode != "off" else None)
-        if template is not None:
-            template_system, overrides = template
-            self._template_artifact = get_system(template_system).prepare(
-                self._config.with_overrides(**overrides))
-            self._template_key = self._template_artifact.key
-            self._promoter = PromotionExecutor(
-                workers=self._config.promotion_workers,
-                name=f"tier-{obs_label or 'spmm'}")
         if max_workspaces is not None and max_workspaces <= 0:
             raise ShapeError(
                 f"max_workspaces must be positive or None, got "
@@ -556,9 +466,8 @@ class SpmmService:
         the handle raise :class:`~repro.errors.ShapeError`.  Cached
         kernels are dropped only from a service-private cache, and only
         when no surviving workspace shares the kernel identity (same-
-        shaped matrices — and all users of an address-free template —
-        legitimately share one cached kernel); an externally supplied
-        cache is never mutated here.
+        shaped matrices legitimately share one cached kernel); an
+        externally supplied cache is never mutated here.
         """
         self._validate_handle(handle)
         with _span("serve.unregister", handle=handle.handle_id):
@@ -604,12 +513,6 @@ class SpmmService:
         keeps the cached kernel warm: a re-profiled shape pays
         re-mapping, never re-codegen (its host kernel is the plan's and
         goes with it).
-
-        Promotion releases the swapped-out template identity through
-        here too — but the shared template kernel itself is never
-        discarded from the cache (``key != self._template_key`` guard):
-        promotion is not unregistration, and the next cold register
-        must still bind near-instantly.
         """
         if key is None:
             return
@@ -620,8 +523,7 @@ class SpmmService:
                 return
             self._key_refs.pop(key, None)
             self._keylocks.pop(key, None)
-            if (drop_kernel and self._private_cache
-                    and key != self._template_key):
+            if drop_kernel and self._private_cache:
                 self.cache.discard(key)
 
     # ------------------------------------------------------------------
@@ -629,14 +531,6 @@ class SpmmService:
     # ------------------------------------------------------------------
     def _make_workspace(self, handle: MatrixHandle, d: int) -> _Workspace:
         x0 = np.zeros((handle.matrix.ncols, d), dtype=np.float32)
-        if self._template_artifact is not None:
-            # tiered: bind the address-free template — partitioning
-            # only, no autotune/search/codegen, so the first request is
-            # near-instant; promotion specializes in the background
-            plan = self._template_artifact.bind(
-                handle.matrix, x0, ensure_kernel=False,
-                name_prefix="serve")
-            return _Workspace(plan=plan, tier=TIER_TEMPLATE)
         # stage 2 only: autotune + partitioning; nothing is mapped or
         # generated until a request needs it
         plan = self._artifact.bind(handle.matrix, x0, ensure_kernel=False,
@@ -729,24 +623,18 @@ class SpmmService:
         maps on first use.  ``multiply`` never comes here.
 
         Returns ``(workspace, plan, kernel, codegen_seconds, cold,
-        generated)`` — ``plan`` is the workspace's plan captured once
-        (a concurrent promotion swapping ``ws.plan`` cannot change the
-        plan this request resolved); generated is True iff kernel
-        construction ran in this call (the kernel was not served from
-        the cache); cold is True when the request paid one-time setup:
-        the first request for this (handle, d) (autotune, even if the
-        kernel itself was already cached under a shared key) or a
-        kernel construction run (first use, or regeneration after
-        eviction).
+        generated)`` — generated is True iff kernel construction ran in
+        this call (the kernel was not served from the cache); cold is
+        True when the request paid one-time setup: the first request for
+        this (handle, d) (autotune, even if the kernel itself was
+        already cached under a shared key) or a kernel construction run
+        (first use, or regeneration after eviction).
         """
         ws, created = self._workspace(handle, d)
         plan = ws.plan
         if ws.identity is None:
-            self._retain_identity(handle, d, ws, plan)
-        # the plan's own system builds/sizes its kernel: on a tiered
-        # service the template tier's plans belong to the template
-        # system, not the served one
-        system = plan.artifact.system
+            self._retain_identity(handle, d, ws)
+        system = self._system
         # lock-free warm path: a long profile() holding ws.lock must not
         # stall concurrent numpy-path requests (the cache locks itself,
         # per shard)
@@ -785,17 +673,16 @@ class SpmmService:
         return ws, plan, kernel, seconds, True, True
 
     def _retain_identity(self, handle: MatrixHandle, d: int,
-                         ws: _Workspace, plan) -> None:
-        """Take the workspace's reference on ``plan``'s cached-kernel
+                         ws: _Workspace) -> None:
+        """Take the workspace's reference on its plan's cached-kernel
         identity (resolving it maps the simulated operands, outside any
-        lock).  Only a workspace that is still live, and still on this
-        plan, holds one: removal and promotion read ``ws.identity``
-        under the same stripe lock, so a reference is never taken
-        behind a sweep that could no longer release it."""
-        identity = plan.key
+        lock).  Only a workspace that is still live holds one: removal
+        reads ``ws.identity`` under the same stripe lock, so a reference
+        is never taken behind a sweep that could no longer release it."""
+        identity = ws.plan.key
         stripe = self._stripe(handle.handle_id)
         with stripe.lock:
-            if (ws.identity is None and ws.plan is plan
+            if (ws.identity is None
                     and stripe.workspaces.get(
                         (handle.handle_id, d)) is ws):
                 with self._keylock_guard:
@@ -811,8 +698,7 @@ class SpmmService:
 
         Usable as a prefetch: generation triggered here is charged to
         the handle's codegen stats like any cold request, so later
-        ``profile`` calls are warm.  On a tiered service this is the
-        kernel of the workspace's *current* tier.
+        ``profile`` calls are warm.
         """
         _, _, kernel, _, _, _ = self._resolve(handle, d)
         return kernel
@@ -826,160 +712,10 @@ class SpmmService:
         ws, _ = self._workspace(handle, d)
         return ws.plan.choice
 
-    # ------------------------------------------------------------------
-    # Tiered execution (repro.serve.tier)
-    # ------------------------------------------------------------------
-    @property
-    def tiered(self) -> bool:
-        """True when this service serves template-first with background
-        promotion (tier_mode on AND the system names a template tier)."""
-        return self._template_artifact is not None
-
-    def _plan_tier(self, plan) -> str | None:
-        """The tier label of the plan one request executed on.
-
-        Derived from the plan object itself — not the workspace's
-        mutable ``tier`` field — so a request is attributed to the tier
-        it executed on even when a promotion lands mid-request.  None
-        on an untiered service (no tier series are emitted, keeping the
-        exported metrics byte-compatible).
-        """
-        if self._template_artifact is None:
-            return None
-        return (TIER_TEMPLATE
-                if plan.artifact is self._template_artifact
-                else TIER_PROMOTED)
-
-    def tier_state(self, handle: MatrixHandle, d: int) -> str | None:
-        """The tier state of (handle, d): ``"template"`` /
-        ``"promoting"`` / ``"promoted"`` / ``"failed"`` (``"inline"``
-        on an untiered service); None before the first request binds a
-        workspace."""
-        self._validate_handle(handle)
-        stripe = self._stripe(handle.handle_id)
-        with stripe.lock:
-            ws = stripe.workspaces.get((handle.handle_id, d))
-            return None if ws is None else ws.tier
-
-    def promotion_error(self, handle: MatrixHandle,
-                        d: int) -> BaseException | None:
-        """The typed error that failed (handle, d)'s promotion, if any."""
-        self._validate_handle(handle)
-        stripe = self._stripe(handle.handle_id)
-        with stripe.lock:
-            ws = stripe.workspaces.get((handle.handle_id, d))
-            return None if ws is None else ws.promote_error
-
-    def drain_promotions(self, timeout: float | None = 5.0) -> bool:
-        """Wait for every in-flight background promotion to settle."""
-        if self._promoter is None:
-            return True
-        return self._promoter.drain(timeout)
-
-    def _note_tier_traffic(self, handle: MatrixHandle, ws: _Workspace,
-                           d: int) -> None:
-        """Count one template-tier request; schedule promotion when the
-        policy says so (eager: first request; lazy: threshold)."""
-        if ws.tier != TIER_TEMPLATE:
-            return
-        stripe = self._stripe(handle.handle_id)
-        submit = False
-        with stripe.lock:
-            if ws.tier == TIER_TEMPLATE:
-                ws.traffic += 1
-                if (self.tier_mode == "eager"
-                        or ws.traffic >= self.promote_after):
-                    ws.tier = TIER_PROMOTING
-                    submit = True
-        if submit:
-            self.tier_stats.begin()
-            if not self._promoter.submit(
-                    lambda: self._promote(handle, ws, d)):
-                # pool closed under us (service shutting down): the
-                # job never ran, settle it as stale and keep serving
-                # the template
-                with stripe.lock:
-                    if ws.tier == TIER_PROMOTING:
-                        ws.tier = TIER_TEMPLATE
-                self.tier_stats.finish("stale")
-
     def _record_codegen(self, handle: MatrixHandle, seconds: float) -> None:
         with self._stripe(handle.handle_id).lock:
             self.stats.handle(handle.handle_id, handle.name).record_codegen(
                 seconds)
-
-    def _promote(self, handle: MatrixHandle, ws: _Workspace,
-                 d: int) -> None:
-        """One background promotion job: specialize (handle, d) off the
-        request path and hot-swap the workspace's plan.
-
-        Never raises (it runs on a pool thread): failure degrades the
-        workspace to the template tier for good, with the exception
-        type counted as the typed reason; a workspace that was
-        unregistered/evicted (or a service that closed) meanwhile
-        settles as ``stale`` and releases everything it built.
-        """
-        outcome = "failed"
-        seconds = 0.0
-        reason = None
-        with _span("serve.promote", handle=handle.handle_id, d=d,
-                   system=self.system, tier=ws.tier) as sp:
-            try:
-                if self._closed or self._handles.get(
-                        handle.handle_id) is None:
-                    outcome = "stale"
-                    return
-                # stage 2 for the *served* system: autotune
-                # (choose_split, memo-aware) / pass search, then the
-                # code the promoted tier executes — the exact work the
-                # untiered cold path does inline
-                x0 = np.zeros((handle.matrix.ncols, d), dtype=np.float32)
-                plan = self._artifact.bind(handle.matrix, x0,
-                                           ensure_kernel=False,
-                                           name_prefix="serve")
-                kernel, generated = plan.resolve_host_kernel()
-                if generated:
-                    seconds = kernel.codegen_seconds
-                    self._record_codegen(handle, seconds)
-                outcome = ("promoted"
-                           if self._commit_promotion(handle, ws, plan)
-                           else "stale")
-            except Exception as error:
-                outcome = "failed"
-                reason = type(error).__name__
-                stripe = self._stripe(handle.handle_id)
-                with stripe.lock:
-                    if stripe.workspaces.get(
-                            (handle.handle_id, d)) is ws:
-                        ws.tier = TIER_FAILED
-                        ws.promote_error = error
-            finally:
-                sp.annotate(outcome=outcome, codegen_seconds=seconds)
-                self.tier_stats.finish(outcome, seconds, reason)
-
-    def _commit_promotion(self, handle: MatrixHandle, ws: _Workspace,
-                          plan) -> bool:
-        """Atomically land a finished promotion; False if it went stale.
-
-        Under the stripe lock the workspace's liveness is re-checked
-        (an unregister/eviction/close that won the race means this
-        promotion keeps nothing: the dropped plan takes its host kernel
-        with it) and the plan is swapped.  The template identity the
-        workspace may have held for ``profile`` is released after the
-        lock drops — the shared template kernel itself stays cached —
-        and the promoted plan's is taken when ``profile`` next asks.
-        """
-        stripe = self._stripe(handle.handle_id)
-        with stripe.lock:
-            if self._closed or stripe.workspaces.get(
-                    (handle.handle_id, plan.d)) is not ws:
-                return False
-            old_identity, ws.identity = ws.identity, None
-            ws.plan = plan
-            ws.tier = TIER_PROMOTED
-            ws.promote_error = None
-        self._release_identity(old_identity)
-        return True
 
     # ------------------------------------------------------------------
     # Request paths
@@ -1006,10 +742,10 @@ class SpmmService:
         (handle, d) pays for on the request path, and the code every
         later request executes; nothing is mapped into the simulated
         address space.  Plans without a host form (address-free
-        systems, the template tier, hosts that cannot run the code)
-        answer with the scipy template instead.  Well-formed operands
-        (contiguous float32 of the registered height) pass a hoisted
-        cheap assert instead of full validation.  The request executes
+        systems, hosts that cannot run the code) answer with the scipy
+        template instead.  Well-formed operands (contiguous float32 of
+        the registered height) pass a hoisted cheap assert instead of
+        full validation.  The request executes
         on the calling thread, none waits on another (a kernel long
         enough to be worth a hand-off runs GIL-free,
         :data:`repro.exec.host.GIL_RELEASE_NS`), and the result is a
@@ -1026,15 +762,9 @@ class SpmmService:
             t0 = time.perf_counter()
             self._check_deadline(deadline, "bind/codegen")
             ws, cold = self._workspace(handle, d)
-            if self._template_artifact is not None:
-                self._note_tier_traffic(handle, ws, d)
-            # capture the plan once: a promotion landing mid-request
-            # swaps ws.plan, and this request must execute — and be
-            # attributed to — exactly one tier
-            plan = ws.plan
             # a lock-free read on every request but the one that
             # generates the plan's host kernel, which is charged for it
-            kernel, generated = plan.resolve_host_kernel()
+            kernel, generated = ws.plan.resolve_host_kernel()
             if generated:
                 self._record_codegen(handle, kernel.codegen_seconds)
                 cold = True
@@ -1042,14 +772,13 @@ class SpmmService:
             self._check_deadline(deadline, "execution")
             t1 = time.perf_counter()
             if kernel is None:
-                y = multiply_partitioned(handle.matrix, x, plan.ranges)
+                y = multiply_partitioned(handle.matrix, x, ws.plan.ranges)
             else:
                 y = kernel(x)
             t2 = time.perf_counter()
             with self._stripe(handle.handle_id).lock:
                 self.stats.handle(handle.handle_id, handle.name).observe(
-                    t2 - t0, cold, exec_seconds=t2 - t1, backend="native",
-                    tier=self._plan_tier(plan))
+                    t2 - t0, cold, exec_seconds=t2 - t1, backend="native")
         return y
 
     # ------------------------------------------------------------------
@@ -1076,14 +805,6 @@ class SpmmService:
             self._check_deadline(deadline, "bind/codegen")
             ws, plan, _, codegen_seconds, cold, generated = self._resolve(
                 handle, d)
-            if self._template_artifact is not None:
-                # profiled traffic heats the workspace too: a handle
-                # probed exclusively through profile() still promotes.
-                # The simulated run serves the captured plan's tier —
-                # the template kernel until promotion lands (its
-                # simulated results are bit-identical across tiers,
-                # like the fast path's)
-                self._note_tier_traffic(handle, ws, d)
             self._check_deadline(deadline, "simulated execution")
             if backend is None and timing is None:
                 backend = self._config.effective_backend
@@ -1108,7 +829,7 @@ class SpmmService:
             with self._stripe(handle.handle_id).lock:
                 self.stats.handle(handle.handle_id, handle.name).observe(
                     t2 - t0, cold, exec_seconds=t2 - t1, profiled=True,
-                    backend=resolved, tier=self._plan_tier(plan))
+                    backend=resolved)
         return replace(
             result, y=y, codegen_seconds=codegen_seconds,
             system=f"{result.system}-serve",
@@ -1122,14 +843,13 @@ class SpmmService:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def close(self, drain_seconds: float = 5.0) -> None:
+    def close(self) -> None:
         """Shut the service down cleanly (idempotent).
 
         New requests are refused with
         :class:`~repro.errors.ServiceClosed`; a request already past
         admission completes against the references it holds (no
-        request ever waits on another, so there is nothing to drain
-        but background promotions, which get up to ``drain_seconds``);
+        request ever waits on another, so there is nothing to drain);
         every workspace is retired — releasing its mapped operand
         copies and, for a service-private cache, its cached kernels —
         and the metrics collector deregisters so the registry stops
@@ -1145,11 +865,6 @@ class SpmmService:
         if self._closed:
             return
         self._closed = True
-        if self._promoter is not None:
-            # promotions queued behind the close still run, but their
-            # commits see _closed and settle stale; joining here means
-            # no pool thread touches service state after teardown
-            self._promoter.close(timeout=drain_seconds)
         for stripe in self._stripes:
             with stripe.lock:
                 dropped = list(stripe.workspaces.values())
@@ -1204,12 +919,6 @@ class SpmmService:
 
     def snapshot(self) -> ServiceSnapshot:
         """One consistent observability snapshot of the whole service."""
-        tier = None
-        if self._template_artifact is not None:
-            tier = self.tier_stats.snapshot(
-                mode=self.tier_mode,
-                template=self._template_artifact.system.name,
-                promote_after=self.promote_after)
         return ServiceSnapshot(
             stats=self.stats_snapshot(),
             cache=self.cache.stats(),
@@ -1218,7 +927,6 @@ class SpmmService:
             workspace_cap=self.max_workspaces,
             workspace_evictions=self._workspace_evictions,
             autotune_memo=autotune_memo_stats(),
-            tier=tier,
         )
 
     def metric_samples(self) -> list[Sample]:

@@ -136,9 +136,6 @@ class HandleStats:
     #: requests per execution backend (``"native"`` for the fast path,
     #: the resolved simulator backend for profiled requests)
     backends: dict[str, int] = field(default_factory=dict)
-    #: requests per serving tier (``"template"`` / ``"promoted"`` on a
-    #: tiered service; untiered services record no tier traffic)
-    tiers: dict[str, int] = field(default_factory=dict)
 
     def record_codegen(self, seconds: float) -> None:
         """Record one code-generation run (whether or not it served a
@@ -149,8 +146,7 @@ class HandleStats:
     def observe(self, seconds: float, cold: bool,
                 exec_seconds: float | None = None,
                 profiled: bool = False,
-                backend: str | None = None,
-                tier: str | None = None) -> None:
+                backend: str | None = None) -> None:
         """Record one served request.
 
         ``seconds`` is the request's total wall latency (what the
@@ -159,9 +155,7 @@ class HandleStats:
         are one-time cold costs — and is the denominator the amortized
         Table-IV ratio accumulates.  Defaults to ``seconds`` when the
         request had no setup component.  ``backend`` attributes the
-        request to one execution backend's traffic bucket; ``tier``
-        attributes it to the serving tier (template vs promoted) that
-        actually executed it.
+        request to one execution backend's traffic bucket.
         """
         self.requests += 1
         if profiled:
@@ -172,8 +166,6 @@ class HandleStats:
             self.warm.observe(seconds)
         if backend:
             self.backends[backend] = self.backends.get(backend, 0) + 1
-        if tier:
-            self.tiers[tier] = self.tiers.get(tier, 0) + 1
         self.exec_seconds += max(
             0.0, seconds if exec_seconds is None else exec_seconds)
 
@@ -188,7 +180,7 @@ class HandleStats:
             codegen_seconds=self.codegen_seconds,
             exec_seconds=self.exec_seconds,
             cold=self.cold.snapshot(), warm=self.warm.snapshot(),
-            backends=dict(self.backends), tiers=dict(self.tiers),
+            backends=dict(self.backends),
         )
 
     def codegen_overhead(self) -> float:
@@ -211,10 +203,6 @@ class HandleStats:
             lines.append("  backends " + " ".join(
                 f"{name}={count}"
                 for name, count in sorted(self.backends.items())))
-        if self.tiers:
-            lines.append("  tiers " + " ".join(
-                f"{name}={count}"
-                for name, count in sorted(self.tiers.items())))
         return "\n".join(lines)
 
 
@@ -270,15 +258,6 @@ class ServiceStats:
                 traffic[name] = traffic.get(name, 0) + count
         return traffic
 
-    @property
-    def tier_traffic(self) -> dict[str, int]:
-        """Service-wide requests per serving tier (template/promoted)."""
-        traffic: dict[str, int] = {}
-        for handle in self._snapshot():
-            for name, count in list(handle.tiers.items()):
-                traffic[name] = traffic.get(name, 0) + count
-        return traffic
-
     def codegen_overhead(self) -> float:
         """Amortized Table-IV metric across all handles."""
         total = self.codegen_seconds + self.exec_seconds
@@ -296,11 +275,6 @@ class ServiceStats:
             lines.append("traffic by backend: " + ", ".join(
                 f"{name}={count}"
                 for name, count in sorted(traffic.items())))
-        tiers = self.tier_traffic
-        if tiers:
-            lines.append("traffic by tier: " + ", ".join(
-                f"{name}={count}"
-                for name, count in sorted(tiers.items())))
         if lock_stats is not None:
             lines.append(lock_stats.render())
         if cache_stats is not None:

@@ -261,7 +261,9 @@ class CsrMatrix:
     @classmethod
     def from_scipy(cls, mat, name: str = "") -> "CsrMatrix":
         """Build from any scipy sparse matrix (test-only helper)."""
-        csr = mat.tocsr()
+        # canonicalizing sorts in place: never on the caller's matrix,
+        # which may be a handle aliasing a CsrMatrix's read-only arrays
+        csr = mat.tocsr(copy=True)
         csr.sum_duplicates()
         return cls(
             csr.shape[0],

@@ -76,7 +76,7 @@ class TestNoBatchingKnobs:
         # request coalescing is gone: the config carries no knob for it
         # (SpmmService alone still accepts the two inert keywords)
         names = {f.name for f in dataclasses.fields(ExecutionConfig)}
-        assert len(names) == 24
+        assert len(names) == 21
         assert not names & {"max_batch", "flush_us"}
         with pytest.raises(TypeError):
             ExecutionConfig(max_batch=8)
@@ -146,34 +146,3 @@ class TestResilienceKnobs:
         assert config.with_overrides(deadline_ms=100.0).deadline_ms == 100.0
         with pytest.raises(ShapeError):
             config.with_overrides(breaker_threshold=-3)
-
-
-class TestTieringKnobs:
-    def test_defaults_tiering_off(self):
-        config = ExecutionConfig()
-        assert config.tier_mode == "off"
-        assert config.promote_after == 32
-        assert config.promotion_workers == 1
-
-    def test_accepts_valid_values(self):
-        config = ExecutionConfig(tier_mode="lazy", promote_after=1,
-                                 promotion_workers=4)
-        assert config.tier_mode == "lazy"
-        assert config.promote_after == 1
-        assert config.promotion_workers == 4
-        assert ExecutionConfig(tier_mode="eager").tier_mode == "eager"
-
-    @pytest.mark.parametrize("kwargs", [
-        {"tier_mode": "hot"}, {"tier_mode": ""}, {"tier_mode": "LAZY"},
-        {"promote_after": 0}, {"promote_after": -8},
-        {"promotion_workers": 0}, {"promotion_workers": -1},
-    ])
-    def test_rejects_invalid_values(self, kwargs):
-        with pytest.raises(ShapeError):
-            ExecutionConfig(**kwargs)
-
-    def test_with_overrides_revalidates_tiering_knobs(self):
-        config = ExecutionConfig()
-        assert config.with_overrides(tier_mode="eager").tier_mode == "eager"
-        with pytest.raises(ShapeError):
-            config.with_overrides(promote_after=0)

@@ -227,6 +227,50 @@ class TestBackendSelection:
                               timing=False) is row
 
 
+class TestNativeAfterSimulatedRun:
+    @pytest.mark.parametrize("system", _CANONICAL)
+    def test_counts_then_native_on_one_plan(self, twins, system):
+        # the simulated run attaches the system's kernel to the plan
+        # (MKL's is a bare Program); the native run must still answer
+        matrix = twins["uk-2005"]
+        x = _dense(matrix, d=8)
+        plan = repro.get_system(system).prepare(repro.ExecutionConfig(
+            threads=2, split="row")).bind(matrix, x)
+        plan.execute(backend="counts")
+        result = plan.execute(backend="native")
+        assert np.array_equal(result.y, repro.spmm_reference(matrix, x))
+        assert result.program is not None
+
+    @pytest.mark.parametrize("system", _CANONICAL)
+    @pytest.mark.parametrize("backend", ["sim", "sim-ref"])
+    def test_replay_then_native_on_one_plan(self, twins, system, backend):
+        # the timing backends attach the same kernel the counts run does
+        matrix = twins["GAP-urand"]
+        x = _dense(matrix, d=8)
+        plan = repro.get_system(system).prepare(repro.ExecutionConfig(
+            threads=2, split="row")).bind(matrix, x)
+        simulated = plan.execute(backend=backend)
+        result = plan.execute(backend="native")
+        assert np.array_equal(result.y, repro.spmm_reference(matrix, x))
+        assert result.program is simulated.program
+
+    @pytest.mark.parametrize("system", _CANONICAL)
+    def test_native_then_counts_on_one_plan(self, twins, system):
+        # the host run writes Y into the plan; a later simulated run on
+        # the same plan must answer exactly as on a fresh one
+        matrix = twins["uk-2005"]
+        x = _dense(matrix, d=8)
+        prepared = repro.get_system(system).prepare(repro.ExecutionConfig(
+            threads=2, split="row"))
+        plan = prepared.bind(matrix, x)
+        native = plan.execute(backend="native")
+        assert np.array_equal(native.y, repro.spmm_reference(matrix, x))
+        counts = plan.execute(backend="counts")
+        fresh = prepared.bind(matrix, x).execute(backend="counts")
+        assert np.array_equal(counts.y, fresh.y)
+        assert _counter_dicts(counts) == _counter_dicts(fresh)
+
+
 class TestReplayConformance:
     """`sim` is bit-identical to the per-access reference (its alias
     spellings are swept in test_machine_replay's registry sweep)."""

@@ -38,7 +38,7 @@ from repro.isa.operands import Imm, Mem
 from repro.isa.registers import regs
 from repro.machine import Memory
 from repro.obs import get_registry
-from repro.serve import SpmmService, TIER_PROMOTED
+from repro.serve import SpmmService
 from repro.sparse import CsrMatrix, spmm_reference
 from tests.conftest import random_csr
 from tests.test_core_engine import _edge_matrix, _hostile_operand, _same_bits
@@ -529,33 +529,6 @@ class TestServedByGeneratedCode:
         plan.ranges = [(0, 10), (12, 40)]
         with pytest.raises(ShapeError, match="do not tile"):
             plan.execute()
-
-    def test_tiers_are_bit_identical_template_to_promoted(self, rng,
-                                                          monkeypatch):
-        executed = _count_calls(monkeypatch, host.HostKernel, "__call__")
-        matrix = random_csr(rng, 50, 40)
-        xs = [_hostile_operand(rng, 40, 8) for _ in range(3)]
-        with SpmmService(threads=2, split="auto", tier_mode="lazy",
-                         promote_after=len(xs) + 1) as service:
-            handle = service.register(matrix)
-            template = [service.multiply(handle, x) for x in xs]
-            assert not executed                  # scipy template tier
-            assert service.handle_stats(handle).codegen_runs == 0
-            # one more request crosses the threshold (whichever tier
-            # answers it): only now may the promoter generate code
-            service.multiply(handle, xs[0])
-            executed.clear()
-            assert service.drain_promotions(10.0)
-            assert service.tier_state(handle, 8) == TIER_PROMOTED
-            promoted = [service.multiply(handle, x) for x in xs]
-            assert len(executed) == (len(xs) if HOST_ISAS else 0)
-            for x, cold, hot in zip(xs, template, promoted):
-                assert _same_bits(cold, hot)
-                assert _same_bits(hot, spmm_reference(matrix, x))
-            # the promotion generated the promoted tier's code, off the
-            # request path, and nothing else
-            assert service.handle_stats(handle).codegen_runs == (
-                1 if HOST_ISAS else 0)
 
 
 # ----------------------------------------------------------------------

@@ -239,35 +239,6 @@ class TestUnifiedMetrics:
         assert "# TYPE serve_requests_total counter" in text
         assert "autotune_memo_entries" in text
 
-    def test_prometheus_text_covers_tiered_serving(self, rng, traced):
-        service = SpmmService(threads=2, split="auto", obs_label="tierprom",
-                              tier_mode="lazy", promote_after=2)
-        matrix = random_csr(rng, 25, 25)
-        handle = service.register(matrix)
-        x = rng.random((25, 4)).astype(np.float32)
-        service.multiply(handle, x)
-        service.multiply(handle, x)
-        assert service.drain_promotions(10.0)
-        service.multiply(handle, x)
-        text = obs.prometheus_text()
-        assert ('serve_tier_traffic_total{service="tierprom",'
-                'tier="template"} 2') in text
-        assert ('serve_tier_traffic_total{service="tierprom",'
-                'tier="promoted"} 1') in text
-        assert ('serve_tier_promotions_total{outcome="promoted",'
-                'service="tierprom"} 1') in text
-        # zero-valued outcome buckets are exported too (rate() needs
-        # the series to exist before the first failure)
-        assert ('serve_tier_promotions_total{outcome="failed",'
-                'service="tierprom"} 0') in text
-        assert 'serve_tier_promotions_pending{service="tierprom"} 0' in text
-        assert "serve_tier_codegen_seconds_total" in text
-        # the background promotion leaves a first-class span
-        promotes = [r for r in traced.spans() if r.name == "serve.promote"]
-        assert len(promotes) == 1
-        assert promotes[0].attrs["outcome"] == "promoted"
-        assert promotes[0].attrs["codegen_seconds"] >= 0.0
-
 
 # ----------------------------------------------------------------------
 # End to end: traced burst -> Perfetto artifact

@@ -232,68 +232,12 @@ def test_report_is_consistent_during_multiply_storm(rng):
     assert not problems, problems[:5]
 
 
-def test_promotion_races_unregister_churn(rng):
-    # handles unregister while their background promotions are still in
-    # flight: every promotion must settle (promoted or stale, never
-    # wedged), results stay bit-correct, and the identity state drains
-    service = SpmmService(threads=2, split="row", tier_mode="lazy",
-                          promote_after=1, promotion_workers=2)
-    matrices = [random_csr(rng, 20 + 3 * index, 24, density=0.3,
-                           name=f"p{index}")
-                for index in range(4)]
-    operands = {}
-    expected = {}
-    for index, matrix in enumerate(matrices):
-        x = rng.random((24, 8)).astype(np.float32)
-        operands[index] = x
-        expected[index] = spmm_reference(matrix, x)
-    errors = []
-    workers = 6
-    rounds = 10
-    barrier = threading.Barrier(workers)
-
-    def worker(seed):
-        local = np.random.default_rng(seed)
-        barrier.wait()
-        for _ in range(rounds):
-            index = int(local.integers(len(matrices)))
-            handle = service.register(matrices[index], f"w{seed}")
-            # promote_after=1: the first request schedules promotion,
-            # and unregister races the background job directly
-            for _ in range(int(local.integers(1, 4))):
-                y = service.multiply(handle, operands[index])
-                if not np.array_equal(y, expected[index]):
-                    errors.append(("mismatch", index))
-            service.unregister(handle)
-
-    threads = [threading.Thread(target=worker, args=(seed,))
-               for seed in range(workers)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert not errors
-    assert service.drain_promotions(30.0)
-    stats = service.tier_stats
-    settled = sum(stats.outcome(name)
-                  for name in ("promoted", "failed", "stale"))
-    assert stats.pending == 0 and settled > 0
-    assert stats.outcome("failed") == 0
-    # every handle is gone: identity refcounts and keylocks drained,
-    # including those of promotions that landed or went stale
-    assert not service._workspaces
-    assert service._key_refs == {}
-    assert service._keylocks == {}
-    service.close()
-
-
-def test_promotion_races_eviction_under_byte_pressure(rng):
-    # a cache too small for every profiled kernel: promotions land
-    # under multiply traffic, the kernels profile() caches on either
-    # tier evict one another, and every request still serves
-    # bit-correct results from whatever tier it captured
-    service = SpmmService(threads=2, split="row", tier_mode="eager",
-                          promotion_workers=2,
+def test_profiled_handles_drain_after_eviction_under_byte_pressure(rng):
+    # a cache too small for every profiled kernel: the kernels profile()
+    # caches for five handles evict one another under multiply traffic,
+    # every request still serves bit-correct results, and unregistering
+    # the handles drains every identity reference profile() took
+    service = SpmmService(threads=2, split="row",
                           cache=ShardedKernelCache(budget_bytes=512,
                                                    shards=2))
     matrices = [random_csr(rng, 18 + 5 * index, 22, density=0.3,
@@ -322,61 +266,9 @@ def test_promotion_races_eviction_under_byte_pressure(rng):
     for thread in threads:
         thread.join()
     assert not errors
-    assert service.drain_promotions(30.0)
     assert service.cache.stats().evictions > 0      # pressure was real
     for handle in handles:
         service.unregister(handle)
-    assert service._key_refs == {}
-    assert service._keylocks == {}
-    service.close()
-
-
-def test_promotion_lands_mid_concurrent_storm(rng):
-    # four threads multiply one (handle, d) while the promotion executor
-    # hot-swaps the plan: each request executes one captured plan (and
-    # is attributed to that plan's tier) and stays bit-exact
-    service = SpmmService(threads=2, split="row", tier_mode="lazy",
-                          promote_after=12)
-    matrix = random_csr(rng, 30, 30, density=0.3, name="midstorm")
-    handle = service.register(matrix)
-    operands = [rng.random((30, 8)).astype(np.float32) for _ in range(4)]
-    expected = [spmm_reference(matrix, x) for x in operands]
-    # below the threshold: guaranteed template-tier traffic before the
-    # concurrent storm crosses it
-    for _ in range(5):
-        assert np.array_equal(service.multiply(handle, operands[0]),
-                              expected[0])
-    assert service.handle_stats(handle).tiers == {"template": 5}
-    errors = []
-    stop = threading.Event()
-
-    def traffic(index):
-        while not stop.is_set():
-            y = service.multiply(handle, operands[index])
-            if not np.array_equal(y, expected[index]):
-                errors.append(index)
-
-    threads = [threading.Thread(target=traffic, args=(index,))
-               for index in range(len(operands))]
-    for thread in threads:
-        thread.start()
-    import time
-    deadline = time.monotonic() + 10.0
-    while (service.tier_state(handle, 8) != "promoted"
-           and time.monotonic() < deadline):
-        time.sleep(0.01)
-    time.sleep(0.2)                 # promoted tier serves real traffic
-    stop.set()
-    for thread in threads:
-        thread.join()
-    assert not errors
-    assert service.tier_state(handle, 8) == "promoted"
-    stats = service.handle_stats(handle)
-    assert stats.tiers.get("template", 0) > 0
-    assert stats.tiers.get("promoted", 0) > 0
-    # every request was attributed to exactly one tier
-    assert sum(stats.tiers.values()) == stats.requests
-    service.unregister(handle)
     assert service._key_refs == {}
     assert service._keylocks == {}
     service.close()

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.api import available_systems, get_system
+from repro.api.systems import AotSystem
 from repro.errors import ShapeError
 from repro.serve import SpmmService
 from repro.sparse import spmm_reference
@@ -82,6 +84,57 @@ class TestServeTemplateSystems:
             SpmmService(threads=2, system="mkl")  # default split="auto"
         with pytest.raises(ShapeError, match="auto"):
             SpmmService(threads=2, split="auto", system="aot:gcc")
+
+
+class TestRegistryConformance:
+    @pytest.mark.parametrize("system", available_systems())
+    def test_first_request_bit_identical(self, rng, system):
+        """The cold request (autotune or pass search, then codegen
+        inline) and a warm one both answer with the reference's bits,
+        whatever the system; AOT personalities run at ``opt_level=3``,
+        where binding searches a pass config per matrix."""
+        kwargs = dict(
+            threads=2, timing=False, system=system,
+            split="auto" if get_system(system).supports_autotune
+            else "row")
+        if isinstance(get_system(system), AotSystem):
+            kwargs.update(opt_level=3, search_budget=2)
+        matrix = random_csr(rng, 25, 20, name=f"conform-{system}")
+        x = rng.random((20, 8)).astype(np.float32)
+        expected = spmm_reference(matrix, x)
+        with SpmmService(**kwargs) as service:
+            handle = service.register(matrix)
+            assert np.array_equal(service.multiply(handle, x), expected)
+            assert np.array_equal(service.multiply(handle, x), expected)
+
+
+class TestOnePlanPerWorkspace:
+    @pytest.mark.parametrize("system", available_systems())
+    def test_workspace_keeps_its_plan(self, rng, system):
+        """A (handle, d) workspace binds one plan on its first request
+        and serves every later ``multiply`` and ``profile`` from it:
+        once each request kind has run, nothing is generated again."""
+        service = SpmmService(threads=2, split="row", timing=False,
+                              system=system)
+        matrix = random_csr(rng, 25, 20, name=f"one-plan-{system}")
+        handle = service.register(matrix)
+        xs = [rng.random((20, 8)).astype(np.float32) for _ in range(3)]
+        assert np.array_equal(service.multiply(handle, xs[0]),
+                              spmm_reference(matrix, xs[0]))
+        service.profile(handle, xs[0])
+        key = (handle.handle_id, 8)
+        plan = service._workspaces[key].plan
+        codegen_runs = service.handle_stats(handle).codegen_runs
+        for x in xs[1:]:
+            assert np.array_equal(service.multiply(handle, x),
+                                  spmm_reference(matrix, x))
+            assert np.allclose(service.profile(handle, x).y,
+                               spmm_reference(matrix, x), atol=1e-4)
+        assert service._workspaces[key].plan is plan
+        stats = service.handle_stats(handle)
+        assert stats.codegen_runs == codegen_runs
+        assert stats.warm.count == 4
+        service.close()
 
 
 class TestWorkspaceLru:

@@ -115,6 +115,47 @@ class TestConversions:
         assert np.allclose(mat.to_dense(), ref.toarray())
         assert np.allclose(mat.to_scipy().toarray(), ref.toarray())
 
+    def test_from_scipy_of_own_handle_with_unsorted_row(self):
+        pytest.importorskip("scipy.sparse")
+        # row 0's columns are unsorted; the handle aliases the matrix's
+        # read-only arrays, so canonicalizing must work on a copy
+        a = CsrMatrix(3, 4, row_ptr=np.array([0, 3, 3, 5]),
+                      col_indices=np.array([3, 0, 2, 1, 0]),
+                      vals=np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+        handle = a.to_scipy()
+        back = CsrMatrix.from_scipy(handle)
+        for row in range(back.nrows):
+            cols = back.col_indices[back.row_ptr[row]:back.row_ptr[row + 1]]
+            assert np.all(np.diff(cols) > 0)
+        assert np.array_equal(a.col_indices, [3, 0, 2, 1, 0])
+        assert np.array_equal(a.vals, [1.0, 2.0, 3.0, 4.0, 5.0])
+        assert a.to_scipy() is handle
+        assert np.array_equal(handle.indices, [3, 0, 2, 1, 0])
+        # small integers: every summation order gives the same bits
+        x = np.arange(8, dtype=np.float32).reshape(4, 2)
+        assert np.array_equal(spmm_reference(back, x), spmm_reference(a, x))
+
+    @pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])
+    def test_from_scipy_leaves_a_noncanonical_source_untouched(self, fmt):
+        sp = pytest.importorskip("scipy.sparse")
+        # row 0 holds (0, 2) twice and its columns out of order
+        source = sp.csr_matrix(
+            (np.array([1.0, 2.0, 3.0, 4.0], dtype=np.float32),
+             np.array([2, 0, 2, 1]), np.array([0, 3, 3, 4])),
+            shape=(3, 3)).asformat(fmt)
+        before = source.copy()
+        mat = CsrMatrix.from_scipy(source)
+        assert mat.nnz == 3
+        assert np.array_equal(mat.col_indices, [0, 2, 1])
+        assert np.array_equal(mat.to_dense(), before.toarray())
+        assert source.nnz == before.nnz
+        if fmt == "coo":
+            assert np.array_equal(source.col, before.col)
+        else:
+            assert np.array_equal(source.indices, before.indices)
+            assert np.array_equal(source.indptr, before.indptr)
+        assert np.array_equal(source.data, before.data)
+
 
 class TestIdentity:
     def test_equal_by_content_not_by_name_or_object(self):
