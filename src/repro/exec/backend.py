@@ -47,6 +47,9 @@ _BACKENDS: dict = {}
 _ALIASES: dict[str, str] = {}
 _LOCK = threading.Lock()
 _BUILTINS_LOADED = False
+_LOAD_LOCK = threading.Lock()
+#: ident of the thread importing the built-ins (None when none is)
+_LOADER: int | None = None
 
 
 class Executor(abc.ABC):
@@ -91,18 +94,24 @@ def _ensure_builtins() -> None:
     """Load the built-in executors exactly once (they import the
     machine and core layers, which the registry itself must not).
 
-    The flag is raised *before* the import: the built-ins register
-    themselves while their module loads, and those re-entrant
-    ``register_backend`` calls must not recurse into the import.
+    The built-ins register themselves while their module loads; those
+    re-entrant ``register_backend`` calls run on the loading thread and
+    return at once.  Any other thread waits on the lock until the whole
+    module has loaded, so a first resolution racing another never sees a
+    half-filled registry.
     """
-    global _BUILTINS_LOADED
-    if not _BUILTINS_LOADED:
-        _BUILTINS_LOADED = True
+    global _BUILTINS_LOADED, _LOADER
+    if _BUILTINS_LOADED or _LOADER == threading.get_ident():
+        return
+    with _LOAD_LOCK:
+        if _BUILTINS_LOADED:
+            return
+        _LOADER = threading.get_ident()
         try:
             import repro.exec.backends  # noqa: F401  (registers on import)
-        except BaseException:
-            _BUILTINS_LOADED = False
-            raise
+        finally:
+            _LOADER = None
+        _BUILTINS_LOADED = True
 
 
 def register_backend(name: str, executor: Executor, *,

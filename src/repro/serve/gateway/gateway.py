@@ -7,14 +7,19 @@
   :mod:`repro.serve.gateway.protocol`;
 * a pool of worker *processes*, each running a private
   :class:`~repro.serve.SpmmService` (its own sharded kernel cache and
-  workspaces — process boundaries are what let GIL-bound serving
-  scale across cores);
+  workspaces).  What the process boundary buys is containment:
+  ``multiply`` runs generated machine code, and a fault there kills
+  one worker — a typed :class:`~repro.errors.WorkerCrashed` and a
+  respawn — rather than the gateway;
 * one shared-memory slot ring (:class:`~repro.serve.gateway.shm.ShmRing`)
   that operands and results travel through — the hot path never pickles
   a matrix: the gateway copies request columns from the socket buffer
   into a slot, the worker maps a zero-copy view, computes, writes the
   result back in place, and the gateway serves the reply bytes straight
   out of the slot.
+
+The event loop reads the worker pipes itself (``loop.add_reader``): no
+reader thread, no cross-thread hand-off per reply.
 
 Admission control is strictly bounded: a gateway-wide ``max_inflight``
 cap, optional per-tenant quotas, and slot exhaustion each reject with a
@@ -84,23 +89,24 @@ __all__ = ["Gateway"]
 
 _GATEWAY_IDS = itertools.count()
 
-#: default bound on admitted-but-unanswered requests when no config is
-#: given (mirrors :class:`ExecutionConfig.max_inflight`)
+#: seconds a fresh worker has to report ready
 _SPAWN_TIMEOUT = 120.0
+
+#: the worker-pipe message kind of each request op
+_WORKER_KINDS = {"multiply": "mul", "profile": "prof"}
 
 
 class _WorkerHandle:
     """Gateway-side state for one worker process."""
 
-    __slots__ = ("index", "process", "conn", "reader", "pending", "alive",
-                 "seq", "pid", "started")
+    __slots__ = ("index", "process", "conn", "pending", "alive", "seq",
+                 "pid", "started")
 
     def __init__(self, index: int, process, conn, pid: int) -> None:
         self.index = index
         self.process = process
         self.conn = conn
         self.pid = pid
-        self.reader: threading.Thread | None = None
         self.pending: dict[int, asyncio.Future] = {}
         #: msg_id -> dispatch time.monotonic(); the watchdog's view of
         #: this worker's in-flight age (loop thread only)
@@ -321,8 +327,6 @@ class Gateway:
         except BaseException:
             self._emergency_teardown()
             raise
-        for wh in self._workers:
-            self._start_reader(wh)
         self._watchdog = threading.Thread(
             target=self._watchdog_main, daemon=True,
             name=f"{self.obs_label}-watchdog")
@@ -332,6 +336,8 @@ class Gateway:
     async def _start_server(self) -> tuple[str, int]:
         self._server = await asyncio.start_server(
             self._handle_conn, self.host, self.port)
+        for wh in self._workers:
+            self._watch(wh)
         sockname = self._server.sockets[0].getsockname()
         return sockname[0], sockname[1]
 
@@ -378,8 +384,6 @@ class Gateway:
                 wh.conn.close()
             except OSError:                    # pragma: no cover
                 pass
-            if wh.reader is not None:
-                wh.reader.join(timeout=5.0)
         if self._loop is not None:
             self._loop.call_soon_threadsafe(self._loop.stop)
             self._loop_thread.join(timeout=10.0)
@@ -398,6 +402,10 @@ class Gateway:
             task.cancel()
         if self._conns:
             await asyncio.gather(*self._conns, return_exceptions=True)
+        # no request awaits a worker reply any more; close() shuts the
+        # workers down and closes their pipes next
+        for wh in self._workers:
+            self._unwatch(wh)
 
     def _emergency_teardown(self) -> None:
         """Best-effort cleanup when ``start`` fails part-way."""
@@ -440,7 +448,7 @@ class Gateway:
         Called from :meth:`start` and from respawn threads — never from
         the event loop.  The handshake (ready ack, registration
         replication, memo seeding) happens directly on the pipe, before
-        the reader thread exists, so no future bookkeeping is needed.
+        the event loop watches it, so no future bookkeeping is needed.
         """
         parent, child = self._ctx.Pipe()
         process = self._ctx.Process(
@@ -504,43 +512,41 @@ class Gateway:
                 "fingerprint": matrix.fingerprint()}
         return segment, meta
 
-    def _start_reader(self, wh: _WorkerHandle) -> None:
-        wh.reader = threading.Thread(
-            target=self._reader_main, args=(wh,), daemon=True,
-            name=f"{self.obs_label}-reader{wh.index}")
-        wh.reader.start()
+    def _watch(self, wh: _WorkerHandle) -> None:
+        """Loop thread: read this worker's pipe whenever it is readable.
 
-    def _reader_main(self, wh: _WorkerHandle) -> None:
-        """Pump one worker's pipe into the event loop; EOF means death."""
-        while True:
-            try:
-                msg = wh.conn.recv()
-            except (EOFError, OSError):
-                break
-            try:
-                self._loop.call_soon_threadsafe(self._on_worker_msg, wh, msg)
-            except RuntimeError:               # loop closed mid-shutdown
-                return
+        Every path that closes ``wh.conn`` calls :meth:`_unwatch` on the
+        loop thread first: a respawned worker's pipe can reuse the fd
+        number, and a stale selector key would misroute or refuse it.
+        """
+        self._loop.add_reader(wh.conn.fileno(), self._on_worker_readable,
+                              wh)
+
+    def _unwatch(self, wh: _WorkerHandle) -> None:
         try:
-            self._loop.call_soon_threadsafe(self._on_worker_death, wh)
-        except RuntimeError:                   # pragma: no cover
+            self._loop.remove_reader(wh.conn.fileno())
+        except OSError:                        # conn already closed
             pass
 
-    def _on_worker_msg(self, wh: _WorkerHandle, msg) -> None:
-        kind = msg[0]
-        if kind == "ok":
-            wh.started.pop(msg[1], None)
-            self._breaker_success(wh.index)
-            future = wh.pending.pop(msg[1], None)
-            if future is not None and not future.done():
-                future.set_result(msg[2])
-        elif kind == "err":
-            # a typed error is still a *live* worker: breaker success
-            wh.started.pop(msg[1], None)
-            self._breaker_success(wh.index)
-            future = wh.pending.pop(msg[1], None)
-            if future is not None and not future.done():
-                future.set_exception(_remote_exception(msg[2], msg[3]))
+    def _on_worker_readable(self, wh: _WorkerHandle) -> None:
+        """One worker reply, read on the loop thread; EOF means death."""
+        try:
+            msg = wh.conn.recv()
+        except (EOFError, OSError):
+            self._unwatch(wh)
+            self._on_worker_death(wh)
+            return
+        # "ok" or "err": a typed error is still a *live* worker, so
+        # either one is a breaker success
+        wh.started.pop(msg[1], None)
+        self._breaker_success(wh.index)
+        future = wh.pending.pop(msg[1], None)
+        if future is None or future.done():
+            return
+        if msg[0] == "ok":
+            future.set_result(msg[2])
+        else:
+            future.set_exception(_remote_exception(msg[2], msg[3]))
 
     def _on_worker_death(self, wh: _WorkerHandle) -> None:
         """Loop-thread handler for a worker pipe reaching EOF.
@@ -561,6 +567,7 @@ class Gateway:
         if wh.process.is_alive():              # pragma: no cover - EOF but
             wh.process.terminate()             # process wedged
             wh.process.join(timeout=5.0)
+        wh.conn.close()                        # unwatched by the caller
         pending = list(wh.pending.values())
         wh.pending.clear()
         wh.started.clear()
@@ -591,7 +598,7 @@ class Gateway:
                     pass
                 return
             self._workers[index] = replacement
-            self._start_reader(replacement)
+            self._watch(replacement)
 
         try:
             self._loop.call_soon_threadsafe(install)
@@ -631,11 +638,11 @@ class Gateway:
     def _declare_hung(self, wh: _WorkerHandle, age: float) -> None:
         """Kill one hung worker; its requests fail fast, typed.
 
-        ``alive`` flips first so the reader thread's pipe-EOF handler
-        (which fires when the kill closes the pipe) early-returns —
-        this path owns failing the pending futures, reaping and
-        respawning.
+        The pipe is unwatched before the kill — this path owns failing
+        the pending futures, reaping (which closes the conn off-loop)
+        and respawning, so no EOF handler may run for it.
         """
+        self._unwatch(wh)
         wh.alive = False
         self._c_hangs.inc()
         self._breaker_failure(wh.index)
@@ -920,55 +927,45 @@ class Gateway:
                            deadline: float | None = None) -> bytes:
         self._check_deadline(deadline, "at gateway admission")
         handle, tenant, rows, cols, operand = proto.decode_multiply(payload)
-        matrix = self._lookup_matrix(handle)
-        grid = next(self._next_request_id)
-        need = 4 * max(rows, matrix.nrows) * cols
-        slot = self._admit(grid, "multiply", tenant, need)
-        try:
-            with _span("gateway.dispatch", request=grid, op="multiply",
-                       handle=handle, rows=rows, d=cols) as sp:
-                self._ring.write(slot, operand)
-                wh = self._pick_worker()
-                sp.annotate(worker=wh.index)
-                future = self._post(wh, "mul", grid, slot, handle, rows,
-                                    cols, deadline)
-            reply = await future
-            self._share_memo(reply.get("memo"), wh)
-            out = self._ring.view(slot, 4 * reply["rows"] * reply["cols"])
-            try:
-                return proto.encode_multiply_reply(
-                    None, reply["rows"], reply["cols"], data=out)
-            finally:
-                out.release()
-        finally:
-            self._release(slot, tenant)
+        return await self._dispatch(
+            "multiply", handle, tenant, rows, cols, operand, (), deadline,
+            lambda reply, out: proto.encode_multiply_reply(
+                None, reply["rows"], reply["cols"], data=out))
 
     async def _op_profile(self, payload: bytes,
                           deadline: float | None = None) -> bytes:
         self._check_deadline(deadline, "at gateway admission")
         meta, operand = proto.decode_profile(payload)
-        handle = int(meta["handle"])
-        tenant = str(meta.get("tenant", "default"))
-        rows, cols = int(meta["rows"]), int(meta["cols"])
+        return await self._dispatch(
+            "profile", int(meta["handle"]),
+            str(meta.get("tenant", "default")), int(meta["rows"]),
+            int(meta["cols"]), operand, (meta.get("backend"),), deadline,
+            lambda reply, out: proto.encode_profile_reply(
+                {"rows": reply["rows"], "cols": reply["cols"],
+                 **reply["meta"]}, out))
+
+    async def _dispatch(self, op: str, handle: int, tenant: str, rows: int,
+                        cols: int, operand, extra: tuple,
+                        deadline: float | None, encode) -> bytes:
+        """Admit one request, run it on a worker through a shm slot, and
+        ``encode(reply, out)`` its reply straight out of the slot."""
         matrix = self._lookup_matrix(handle)
         grid = next(self._next_request_id)
         need = 4 * max(rows, matrix.nrows) * cols
-        slot = self._admit(grid, "profile", tenant, need)
+        slot = self._admit(grid, op, tenant, need)
         try:
-            with _span("gateway.dispatch", request=grid, op="profile",
+            with _span("gateway.dispatch", request=grid, op=op,
                        handle=handle, rows=rows, d=cols) as sp:
                 self._ring.write(slot, operand)
                 wh = self._pick_worker()
                 sp.annotate(worker=wh.index)
-                future = self._post(wh, "prof", grid, slot, handle, rows,
-                                    cols, meta.get("backend"), deadline)
+                future = self._post(wh, _WORKER_KINDS[op], grid, slot,
+                                    handle, rows, cols, *extra, deadline)
             reply = await future
             self._share_memo(reply.get("memo"), wh)
             out = self._ring.view(slot, 4 * reply["rows"] * reply["cols"])
             try:
-                return proto.encode_profile_reply(
-                    {"rows": reply["rows"], "cols": reply["cols"],
-                     **reply["meta"]}, out)
+                return encode(reply, out)
             finally:
                 out.release()
         finally:

@@ -1,9 +1,9 @@
 """Gateway worker: one process, one :class:`SpmmService`, shm operands.
 
-Each worker is a separate interpreter — the whole point of the gateway:
-everything around the kernel call in :class:`~repro.serve.SpmmService`
-(admission, stats, pipe and shm traffic) holds the GIL, so process
-boundaries are what let serving scale past one core's worth of Python.
+Each worker is a separate interpreter, so a fault in generated code
+running here (``multiply`` calls the plan's machine code in process)
+kills this worker, not the gateway: the gateway sees the pipe close and
+fails its requests with a typed :class:`~repro.errors.WorkerCrashed`.
 A worker owns a private service (its own sharded kernel cache and
 workspaces) and speaks a tiny pickled control protocol with the
 gateway over a :class:`multiprocessing.connection.Connection`:
@@ -29,11 +29,13 @@ gateway over a :class:`multiprocessing.connection.Connection`:
   process; the request paths honor the ``worker.crash`` /
   ``worker.hang`` / ``codegen.raise`` injection sites.
 
-Requests are executed on a small thread pool: each ``multiply`` runs
-start to finish on its executor thread and the host kernel releases the
-GIL, so pipelined dispatches from the gateway overlap their kernels
-inside one worker (nothing batches, nothing waits on a peer) while the
-receive loop keeps draining the pipe.  Every reply is
+:data:`WORKER_EXECUTOR_THREADS` threads take turns receiving
+(leader/follower): control messages run under the receive lock, in
+arrival order; a ``mul`` / ``prof`` runs after its release, start to
+finish on the thread that read it.  So a slow request never stops the
+next from being received, and pipelined dispatches overlap their
+GIL-free kernels inside one worker (nothing batches, nothing waits on
+a peer).  Every reply is
 ``("ok", msg_id, payload)`` or ``("err", msg_id, name, message)``;
 exceptions never cross the pipe as pickles, only as ``(class name,
 message)`` pairs the gateway re-frames for the client.
@@ -49,14 +51,14 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
 
 from repro import faults
 from repro.core.autotune import export_autotune_memo, seed_autotune_memo
-from repro.errors import CodegenError, DeadlineExceeded
+from repro.errors import (CodegenError, DeadlineExceeded, ProtocolError,
+                          ShapeError)
 from repro.obs.trace import span as _span
 from repro.serve.gateway.shm import ShmRing, attach_shm, set_attach_untrack
 from repro.serve.service import SpmmService
@@ -64,11 +66,14 @@ from repro.sparse.csr import CsrMatrix
 
 __all__ = ["WORKER_EXECUTOR_THREADS", "worker_main"]
 
-#: request-execution threads per worker: enough that pipelined
+#: receive-and-execute threads per worker: enough that pipelined
 #: dispatches overlap their GIL-free kernel calls (and one slow request
 #: never blocks the rest), small enough that a worker never
 #: oversubscribes its host share
 WORKER_EXECUTOR_THREADS = 4
+
+#: the request kinds (the rest is control plane) and their spans
+_SPANS = {"mul": "gateway.worker.multiply", "prof": "gateway.worker.profile"}
 
 
 class _MemoSync:
@@ -126,9 +131,8 @@ def worker_main(index: int, conn, ring_name: str, slot_bytes: int,
     handles: dict[int, object] = {}
     memo = _MemoSync()
     send_lock = threading.Lock()
-    pool = ThreadPoolExecutor(
-        max_workers=WORKER_EXECUTOR_THREADS,
-        thread_name_prefix=f"gw-worker{index}")
+    recv_lock = threading.Lock()
+    stopping = False
 
     def reply(msg_id: int, payload) -> None:
         with send_lock:
@@ -141,7 +145,7 @@ def worker_main(index: int, conn, ring_name: str, slot_bytes: int,
     def fault_hooks(request_id: int) -> None:
         """Honor the worker-side injection sites for one request.
 
-        Runs on the executor thread, before any service work: a crash
+        Runs on the request's thread, before any service work: a crash
         takes the whole process (exercising gateway crash recovery), a
         hang outlives the watchdog's threshold, and ``codegen.raise``
         surfaces as the typed error a real codegen failure would.
@@ -159,17 +163,37 @@ def worker_main(index: int, conn, ring_name: str, slot_bytes: int,
         if deadline is not None and time.monotonic() >= deadline:
             raise DeadlineExceeded(f"deadline expired {stage}")
 
-    def serve_multiply(msg) -> None:
-        _, msg_id, request_id, slot, handle, rows, cols, deadline = msg
+    def serve_request(msg) -> None:
+        """One ``mul`` / ``prof`` (which adds a backend before the
+        deadline): operand from its shm slot, result back into it."""
+        kind, msg_id, request_id, slot, handle, rows, cols = msg[:7]
+        deadline = msg[-1]
         view = None
         try:
             fault_hooks(request_id)
             check_deadline(deadline, "before worker dispatch")
-            with _span("gateway.worker.multiply", request=request_id,
-                       worker=index, handle=handle):
+            with _span(_SPANS[kind], request=request_id, worker=index,
+                       handle=handle):
                 view = ring.view(slot, 4 * rows * cols)
                 x = np.frombuffer(view, dtype=np.float32).reshape(rows, cols)
-                y = service.multiply(handles[handle], x, deadline=deadline)
+                if kind == "mul":
+                    y = service.multiply(handles[handle], x,
+                                         deadline=deadline)
+                    body = {}
+                else:
+                    result = service.profile(handles[handle], x,
+                                             backend=msg[7],
+                                             deadline=deadline)
+                    y = np.ascontiguousarray(result.y)
+                    body = {"meta": {
+                        "counters": asdict(result.counters),
+                        "backend": result.backend,
+                        "system": result.system,
+                        "split": result.split,
+                        "threads": result.threads,
+                        "cache_hit": bool(result.cache_hit),
+                        "codegen_seconds": result.codegen_seconds,
+                    }}
                 # the operand has been fully consumed; the result (a
                 # fresh C-contiguous array) takes over the slot
                 ring.write(slot, y)
@@ -178,7 +202,7 @@ def worker_main(index: int, conn, ring_name: str, slot_bytes: int,
             # reply race the caller's timeout handling
             check_deadline(deadline, "before the reply (result discarded)")
             reply(msg_id, {"rows": int(y.shape[0]), "cols": int(y.shape[1]),
-                           "memo": memo.delta()})
+                           **body, "memo": memo.delta()})
         except KeyError:
             reply_error(msg_id, _unknown_handle(handle))
         except BaseException as error:
@@ -187,67 +211,20 @@ def worker_main(index: int, conn, ring_name: str, slot_bytes: int,
             if view is not None:
                 view.release()
 
-    def serve_profile(msg) -> None:
-        _, msg_id, request_id, slot, handle, rows, cols, backend, \
-            deadline = msg
-        view = None
-        try:
-            fault_hooks(request_id)
-            check_deadline(deadline, "before worker dispatch")
-            with _span("gateway.worker.profile", request=request_id,
-                       worker=index, handle=handle):
-                view = ring.view(slot, 4 * rows * cols)
-                x = np.frombuffer(view, dtype=np.float32).reshape(rows, cols)
-                result = service.profile(handles[handle], x, backend=backend,
-                                         deadline=deadline)
-                ring.write(slot, np.ascontiguousarray(result.y))
-            check_deadline(deadline, "before the reply (result discarded)")
-            reply(msg_id, {
-                "rows": int(result.y.shape[0]),
-                "cols": int(result.y.shape[1]),
-                "meta": {
-                    "counters": asdict(result.counters),
-                    "backend": result.backend,
-                    "system": result.system,
-                    "split": result.split,
-                    "threads": result.threads,
-                    "cache_hit": bool(result.cache_hit),
-                    "codegen_seconds": result.codegen_seconds,
-                },
-                "memo": memo.delta(),
-            })
-        except KeyError:
-            reply_error(msg_id, _unknown_handle(handle))
-        except BaseException as error:
-            reply_error(msg_id, error)
-        finally:
-            if view is not None:
-                view.release()
-
-    def serve_register(msg) -> None:
-        _, msg_id, segment_name, meta = msg
-        try:
-            matrix = _matrix_from_segment(segment_name, meta)
-            handle = service.register(matrix, meta.get("name", ""))
-            handles[int(meta["gid"])] = handle
-            reply(msg_id, {"handle": int(meta["gid"]),
-                           "memo": memo.delta()})
-        except BaseException as error:
-            reply_error(msg_id, error)
-
-    running = True
-    while running:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            break
+    def serve_control(msg) -> None:
+        """Run one control message; the caller holds ``recv_lock``."""
+        nonlocal stopping
         kind = msg[0]
-        if kind == "mul":
-            pool.submit(serve_multiply, msg)
-        elif kind == "prof":
-            pool.submit(serve_profile, msg)
-        elif kind == "reg":
-            serve_register(msg)
+        if kind == "reg":
+            _, msg_id, segment_name, meta = msg
+            try:
+                matrix = _matrix_from_segment(segment_name, meta)
+                handle = service.register(matrix, meta.get("name", ""))
+                handles[int(meta["gid"])] = handle
+                reply(msg_id, {"handle": int(meta["gid"]),
+                               "memo": memo.delta()})
+            except BaseException as error:
+                reply_error(msg_id, error)
         elif kind == "unreg":
             _, msg_id, gid = msg
             try:
@@ -270,20 +247,44 @@ def worker_main(index: int, conn, ring_name: str, slot_bytes: int,
             else:
                 faults.install_plan(faults.FaultPlan.from_dict(msg[1]))
         elif kind == "shutdown":
-            running = False
+            stopping = True
             if len(msg) > 1:            # acked shutdown: (shutdown, msg_id)
                 reply(msg[1], {"pid": os.getpid()})
         # unknown kinds are dropped: a newer gateway may speak ops this
         # worker build does not know, and the pipe must stay in sync
-    pool.shutdown(wait=True)
+
+    def serve_loop() -> None:
+        """Leader/follower: receive under the lock, run outside it."""
+        nonlocal stopping
+        while True:
+            with recv_lock:
+                if stopping:
+                    return
+                try:
+                    msg = conn.recv()
+                except (EOFError, OSError):
+                    stopping = True
+                    return
+                if msg[0] not in _SPANS:
+                    serve_control(msg)
+                    continue
+            serve_request(msg)
+
+    followers = [threading.Thread(target=serve_loop, daemon=True,
+                                  name=f"gw-worker{index}-{i}")
+                 for i in range(1, WORKER_EXECUTOR_THREADS)]
+    for thread in followers:
+        thread.start()
+    serve_loop()
+    # in-flight requests finish before the service closes under them
+    for thread in followers:
+        thread.join()
     service.close()
     ring.close()
     conn.close()
 
 
 def _unknown_handle(handle: int):
-    from repro.errors import ShapeError
-
     return ShapeError(f"unknown handle {handle}; register the matrix "
                       f"through this gateway first")
 
@@ -316,8 +317,6 @@ def _matrix_from_segment(segment_name: str, meta: dict) -> CsrMatrix:
                        name=str(meta.get("name", "")))
     expected = meta.get("fingerprint")
     if expected and matrix.fingerprint() != expected:
-        from repro.errors import ProtocolError
-
         raise ProtocolError(
             f"registration fingerprint mismatch for {matrix!r}: operands "
             f"were corrupted in transport")

@@ -10,6 +10,9 @@ stays selectable from every entry point (``repro.run``, ``JitSpMM``,
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -72,6 +75,32 @@ class TestRegistry:
                                      "cycles": True}
         # aliases are spellings, not backends
         assert set(matrix) == {"native", "counts", "sim", "sim-ref"}
+
+    def test_first_resolution_racing_another_sees_the_builtins(self):
+        """Regression: the load flag was raised before the built-ins'
+        import finished, so a second thread resolving a name during the
+        first one's import found an empty registry."""
+        script = """
+import threading
+from repro.exec.backend import canonical_name
+barrier = threading.Barrier(8)
+names = []
+def first_use():
+    barrier.wait(timeout=30)
+    names.append(canonical_name("counts"))
+threads = [threading.Thread(target=first_use) for _ in range(8)]
+for thread in threads: thread.start()
+for thread in threads: thread.join(timeout=60)
+assert names == ["counts"] * 8, names
+print("ok")
+"""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__)))
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "ok"
 
     def test_native_needs_no_kernel(self):
         assert get_backend("native").requires_kernel is False

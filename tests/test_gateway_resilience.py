@@ -7,6 +7,7 @@ is declared within a test's patience; the native backend serves real
 requests in microseconds, so legitimate traffic never trips them.
 """
 
+import socket
 import threading
 import time
 
@@ -159,6 +160,101 @@ class TestHangSupervision:
                 assert "gateway_worker_hangs_total" in gateway.stats_text()
             finally:
                 client.close()
+
+
+    def test_slow_request_does_not_block_its_own_worker(self, rng):
+        """A multiply pipelined behind a hung one on the same worker is
+        received and served while the first still sleeps: the worker's
+        threads take turns receiving, and a request never holds the
+        receive lock while it runs."""
+        hang = 1.5
+        config = ExecutionConfig(split="row", backend="native", workers=1,
+                                 hang_threshold_ms=30_000.0)
+        with Gateway(config, mp_start="fork") as gateway:
+            with gateway.connect(max_retries=0) as client:
+                matrix = random_csr(rng, 64, 48, density=0.25, name="hol")
+                handle = client.register(matrix, "hol")
+                x = rng.random((48, 4)).astype(np.float32)
+                reference = spmm_reference(matrix, x)
+                client.multiply(handle, x)          # warm
+                gateway.set_fault_plan(FaultPlan(rules=(
+                    FaultRule("worker.hang", max_fires=1,
+                              hang_seconds=hang),)))
+                sock = socket.create_connection(gateway.address,
+                                                timeout=30.0)
+                try:
+                    payload = proto.encode_multiply(handle, x)
+                    t0 = time.perf_counter()
+                    proto.send_frame(sock, proto.OP_MULTIPLY, payload, 1)
+                    time.sleep(0.2)                 # request 1 is asleep
+                    proto.send_frame(sock, proto.OP_MULTIPLY, payload, 2)
+                    replies = []
+                    for _ in range(2):
+                        _op, request_id, body = proto.recv_frame(sock)
+                        replies.append((request_id, time.perf_counter() - t0,
+                                        proto.decode_multiply_reply(
+                                            proto.decode_reply(body))))
+                finally:
+                    sock.close()
+                (first, first_s, y2), (second, _, y1) = replies
+                assert (first, second) == (2, 1)
+                assert first_s < hang
+                assert np.array_equal(y2, reference)
+                assert np.array_equal(y1, reference)
+                assert gateway.shm_stats().in_use == 0
+
+    def test_repeated_hang_kill_respawn_cycles(self, rng):
+        """Three hang -> kill -> respawn cycles in a row: the killed
+        worker's pipe is unwatched before its fd can be reused by the
+        replacement's, so every cycle ends serving exact bits with no
+        slot leaked and nothing raised on the event loop."""
+        config = ExecutionConfig(split="row", backend="native", workers=1,
+                                 hang_threshold_ms=300.0)
+        with Gateway(config, mp_start="fork") as gateway:
+            loop_errors = []
+            gateway._loop.call_soon_threadsafe(
+                gateway._loop.set_exception_handler,
+                lambda _loop, context: loop_errors.append(context))
+            declare_hung = gateway._declare_hung
+
+            def declare_hung_then_stall(wh, age):
+                # hold the loop while the reaper closes the killed pipe
+                # and the replacement opens one, likely on the same fd:
+                # only an unwatch made before the kill keeps the stale
+                # selector key from swallowing the new worker's replies
+                declare_hung(wh, age)
+                time.sleep(1.0)
+
+            gateway._declare_hung = declare_hung_then_stall
+            with gateway.connect(max_retries=0) as client:
+                matrix = random_csr(rng, 64, 48, density=0.25, name="cyc")
+                handle = client.register(matrix, "cyc")
+                x = rng.random((48, 4)).astype(np.float32)
+                reference = spmm_reference(matrix, x)
+                client.multiply(handle, x)          # warm
+                for cycle in range(3):
+                    (victim_pid,) = gateway.worker_pids()
+                    gateway.set_fault_plan(FaultPlan(rules=(
+                        FaultRule("worker.hang", max_fires=1,
+                                  hang_seconds=30.0),)))
+                    with pytest.raises(WorkerHung):
+                        client.multiply(handle, x)
+                    gateway.set_fault_plan(None)
+                    _wait_for(lambda: gateway.worker_pids() not in
+                              ([], [victim_pid]),
+                              message=f"respawn in cycle {cycle}")
+                    deadline = time.perf_counter() + 30
+                    while True:
+                        try:
+                            y = client.multiply(handle, x)
+                            break
+                        except GatewayOverloaded:   # breaker cooling down
+                            if time.perf_counter() > deadline:
+                                raise
+                            time.sleep(0.05)
+                    assert np.array_equal(y, reference)
+                    assert gateway.shm_stats().in_use == 0
+            assert not loop_errors
 
 
 class TestCircuitBreaker:

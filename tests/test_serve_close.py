@@ -50,6 +50,11 @@ class TestClose:
         for d in (2, 4, 8):
             service.multiply(handle,
                              np.ones((20, d), dtype=np.float32))
+            # profile takes the kernel-identity references (and codegen
+            # locks) that close() must release; multiply takes none
+            service.profile(handle, np.ones((20, d), dtype=np.float32),
+                            backend="counts")
+        assert service._key_refs and service._keylocks
         assert service._live_workspaces() > 0
         service.close()
         assert service._live_workspaces() == 0

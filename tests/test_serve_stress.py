@@ -59,6 +59,13 @@ def test_concurrent_register_unregister_multiply(rng):
                 y = service.multiply(handle, operands[index])
                 if not np.array_equal(y, expected[index]):
                     errors.append(("mismatch", index))
+                # profile is what takes a kernel-identity reference
+                # (multiply never does), so it is what the drain
+                # checks below are about
+                result = service.profile(handle, operands[index],
+                                         backend="counts")
+                if not np.allclose(result.y, expected[index], atol=1e-3):
+                    errors.append(("profile mismatch", index))
                 service.unregister(handle)
 
     threads = [threading.Thread(target=worker, args=(seed,))
